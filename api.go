@@ -233,8 +233,8 @@ func SharedTables() *TableCache { return queuing.SharedTables() }
 // Admission serving (internal/placesvc).
 type (
 	// AdmissionService is the concurrent group-commit front-end over Online:
-	// many callers submit arrivals/departures, one committer batches them,
-	// reads run lock-free against immutable snapshots.
+	// many callers submit arrivals/departures, one of them at a time commits
+	// a batch, reads run lock-free against immutable snapshots.
 	AdmissionService = placesvc.Service
 	// AdmissionConfig parameterises an AdmissionService.
 	AdmissionConfig = placesvc.Config

@@ -32,7 +32,7 @@
 // -shards > 1 swaps the single service for a shardsvc.Federation: the PM
 // pool splits into that many independent shards and each arrival routes by
 // power-of-two-choices over the shards' snapshot headroom. -workers sets each
-// committer's fan-out width (default GOMAXPROCS).
+// commit's fan-out width (default GOMAXPROCS).
 //
 // -bench emits the result as a test2json benchmark line
 // (BenchmarkLoadgen/m=…/clients=…, gaining a /shards=N component only when
@@ -115,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.ops, "ops", 20000, "total requests to submit across all clients")
 	fs.IntVar(&cfg.batch, "batch", 256, "service MaxBatch (1 disables coalescing)")
 	fs.DurationVar(&cfg.maxWait, "maxwait", 0, "service MaxWait batch-fill deadline (0 = commit whatever is queued)")
-	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "committer fan-out width per shard")
+	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "commit fan-out width per shard")
 	fs.IntVar(&cfg.shards, "shards", 1, "independent placesvc shards fronted by power-of-2 routing (1 = single service)")
 	fs.Int64Var(&cfg.seed, "seed", 42, "workload seed")
 	fs.Float64Var(&cfg.rho, "rho", 0.01, "CVR threshold ρ")

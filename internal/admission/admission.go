@@ -1,5 +1,5 @@
 // Package admission is the SLO-aware admission-control layer that sits ahead
-// of the serving plane's committer (internal/placesvc) and the open-system
+// of the serving plane's commit queue (internal/placesvc) and the open-system
 // simulator's arrival path (internal/sim churn): it decides *whether* the
 // fleet should accept a request at all, where the paper's Eq. (17) test only
 // decides *where* a VM fits. Under bursty arrivals — the paper's whole

@@ -131,6 +131,12 @@ func (o *Online) RefreshPMs(pmIDs []int) {
 	if o.index == nil || len(pmIDs) == 0 {
 		return
 	}
+	if len(pmIDs) == 1 {
+		// One PM — every unbatched departure — is a plain point update:
+		// nothing to sort, dedup or fan out, and nothing to allocate.
+		o.index.refresh(o.place, pmIDs[0])
+		return
+	}
 	positions := make([]int, 0, len(pmIDs))
 	for _, id := range pmIDs {
 		if pos, ok := o.index.posOf(id); ok {

@@ -245,6 +245,63 @@ func TestOnlineRefreshAllMatchesFreshIndex(t *testing.T) {
 	}
 }
 
+// RefreshPMs on a single PM takes a point-update fast path; it must leave the
+// index exactly where the general sort/dedup/fan-out path would, tolerate an
+// unknown id the same way, and — being what every unbatched service departure
+// pays — not allocate.
+func TestOnlineRefreshPMsSinglePMFastPath(t *testing.T) {
+	const vms = 80
+	fill := func() *Online {
+		o := newOnlineT(t, mkPool(12, 100))
+		for id := 0; id < vms; id++ {
+			if _, err := o.Arrive(mkVM(id, 10, 5)); err != nil {
+				t.Fatalf("arrival %d rejected: %v", id, err)
+			}
+		}
+		return o
+	}
+	fast, general := fill(), fill()
+	for _, id := range []int{3, 40, 41, 79} {
+		pmFast, err := fast.DepartNoRefresh(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmGen, err := general.DepartNoRefresh(id)
+		if err != nil || pmGen != pmFast {
+			t.Fatalf("VM %d: departed PM %d (err %v), want %d", id, pmGen, err, pmFast)
+		}
+		stale := fast.index.tree.Get(pmFast)
+		fast.RefreshPMs([]int{pmFast})
+		general.RefreshPMs([]int{pmGen, pmGen}) // two ids: the general path, deduped
+		if fast.index.tree.Get(pmFast) == stale {
+			t.Errorf("VM %d: fast path left PM %d's score stale", id, pmFast)
+		}
+		for i := 0; i < fast.index.tree.Len(); i++ {
+			if got, want := fast.index.tree.Get(i), general.index.tree.Get(i); got != want {
+				t.Errorf("VM %d, pos %d: fast path scored %v, general path %v", id, i, got, want)
+			}
+		}
+	}
+	fast.RefreshPMs([]int{-7}) // unknown id: skipped, as on the general path
+
+	next := 0
+	one := make([]int, 1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for next == 3 || next == 40 || next == 41 {
+			next++
+		}
+		pmID, err := fast.DepartNoRefresh(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		one[0] = pmID
+		fast.RefreshPMs(one)
+	}); allocs != 0 {
+		t.Errorf("DepartNoRefresh+RefreshPMs of one VM allocates %v times, want 0", allocs)
+	}
+}
+
 // Depart of an unknown VM id must error without disturbing the index: the
 // same arrivals succeed afterwards, and scores stay untouched.
 func TestOnlineDepartUnknownKeepsIndexIntact(t *testing.T) {

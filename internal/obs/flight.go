@@ -166,7 +166,7 @@ func (f *FlightRecorder) NoteRejections(n int) {
 }
 
 // NoteSheds adds admission-policy sheds to the shed-storm counter — the
-// admission layer sits ahead of the committer and emits no trace events — and
+// admission layer sits ahead of the commit queue and emits no trace events — and
 // dumps with the storm:shed trigger when the threshold is crossed, mirroring
 // NoteRejections / storm:no_capacity. Sheds and capacity rejections count
 // separately: a shed storm means the policy is refusing work, a rejection

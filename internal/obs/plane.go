@@ -135,8 +135,8 @@ func NewPlane(o Options) *Plane {
 		help   string
 		win    *WindowedTimer
 	}{
-		{"placesvc_queue_wait_window_seconds", "Rolling quantiles of admission-request queue wait (submit to committer pickup).", p.QueueWait},
-		{"placesvc_batch_apply_window_seconds", "Rolling quantiles of the committer's whole-batch apply span.", p.BatchApply},
+		{"placesvc_queue_wait_window_seconds", "Rolling quantiles of admission-request queue wait (submit to commit pickup).", p.QueueWait},
+		{"placesvc_batch_apply_window_seconds", "Rolling quantiles of the commit's whole-batch apply span.", p.BatchApply},
 		{"placesvc_snapshot_publish_window_seconds", "Rolling quantiles of the read-snapshot rebuild and publish span.", p.SnapshotPublish},
 		{"sim_step_window_seconds", "Rolling quantiles of whole simulator steps.", p.StepTime},
 		{"loadgen_admit_window_seconds", "Rolling quantiles of end-to-end Arrive latency measured by loadgen.", p.AdmitLatency},

@@ -230,7 +230,7 @@ func TestAdmissionOccupancyShed(t *testing.T) {
 func TestCloseDuringNoCapacityStorm(t *testing.T) {
 	strategy := paperStrategy()
 	strategy.MaxVMsPerPM = 1
-	svc := newServiceT(t, Config{Strategy: strategy, PMs: mkPool(1, 100), QueueCap: 8})
+	svc := newServiceT(t, Config{Strategy: strategy, PMs: mkPool(1, 100)})
 	if _, err := svc.Arrive(mkVM(0, 10, 5)); err != nil {
 		t.Fatal(err)
 	}

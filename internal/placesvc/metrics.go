@@ -74,7 +74,7 @@ func newSvcMetrics(reg *telemetry.Registry, policyName string) *svcMetrics {
 	}
 	if policyName != "" {
 		reg.Help("admission_sheds_total", "VMs shed by the admission policy, by policy and class.")
-		reg.Help("admission_queue_depth", "Committer queue depth as observed at the latest admission decision.")
+		reg.Help("admission_queue_depth", "Commit queue depth as observed at the latest admission decision.")
 		reg.Help("admission_shed_rate_ewma", "EWMA of the per-decision shed fraction (α = 1/64).")
 		m.sheds = make([]*telemetry.Counter, len(admission.Classes))
 		for i, class := range admission.Classes {

@@ -1,6 +1,7 @@
 package placesvc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -103,7 +104,7 @@ func TestServiceObsOffNoEnqueueStamp(t *testing.T) {
 	defer svc.Close()
 	r := svc.get(reqArrive)
 	r.vm = mkVM(1, 5, 3)
-	if err := svc.submit(r); err != nil {
+	if err := svc.submit(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if !r.enq.IsZero() {

@@ -1,8 +1,15 @@
 // Package placesvc is the high-throughput admission service over the §IV-E
 // online consolidation scheme: many concurrent callers submit VM arrivals and
-// departures, a single committer goroutine drains them through a batched
-// group-commit pipeline, and monitoring reads run lock-free against an
-// atomically-swapped immutable snapshot.
+// departures, one of them at a time — the leader — commits a batch of them
+// through a group-commit pipeline on its own goroutine, and monitoring reads
+// run lock-free against an atomically-swapped immutable snapshot.
+//
+// The service owns no goroutine. A caller that finds nobody leading becomes
+// the leader (the write-group protocol of LevelDB/RocksDB): it commits its
+// own request plus up to MaxBatch − 1 from the head of a mutex-guarded FIFO,
+// answers those, then hands the role to the next queued caller or retires.
+// Every other caller queues and parks until it is answered or elected, so an
+// uncontended call never changes goroutine.
 //
 // The pipeline shape follows the infinite-server packing view of the online
 // problem (Stolyar): admission throughput — not the packing itself — is the
@@ -18,9 +25,9 @@
 // ring.go) so monitoring reads never cost the commit path a clone.
 //
 // Determinism contract: placements depend only on the order in which requests
-// commit. With MaxBatch = 1, or with a single client awaiting each response,
-// commit order equals submission order and the service reproduces the
-// sequential core.Online placement bit-identically (see
+// commit, and commit order is queue order. With MaxBatch = 1, or with a single
+// client awaiting each response, that is submission order and the service
+// reproduces the sequential core.Online placement bit-identically (see
 // TestServeEquivalence). Under concurrent clients the interleaving — and
 // therefore the placement — is scheduling-dependent, but every committed
 // state satisfies Eq. (17).
@@ -30,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +72,7 @@ type Config struct {
 	// MaxBatch = 1 disables coalescing: every request commits alone, making
 	// commit order equal submission order.
 	MaxBatch int
-	// Workers caps how many goroutines the committer fans the per-PM work of
+	// Workers caps how many goroutines the leader fans the per-PM work of
 	// one commit over: the rescoring of PMs touched by the batch's departures
 	// and the whole-index rebuild after a table refresh both partition over
 	// contiguous PM sub-ranges and merge in deterministic position order.
@@ -72,18 +80,16 @@ type Config struct {
 	// first-fit tree. Scores are pure functions of the committed placement,
 	// so every worker count produces bit-identical placements, snapshots and
 	// stats for the same commit sequence — Workers = 1 (the default; 0 means
-	// 1) reproduces the fully-sequential committer exactly, mirroring the
+	// 1) reproduces the fully-sequential commit exactly, mirroring the
 	// MaxBatch = 1 ≡ sequential-Online contract. Set runtime.GOMAXPROCS(0)
 	// to use every core.
 	Workers int
-	// MaxWait bounds how long the committer waits to fill a batch after the
-	// first request arrives. The default 0 never waits: the committer takes
-	// whatever is queued and commits immediately, so batches form naturally
-	// under load and latency stays minimal when idle.
+	// MaxWait is the leader's fill window: how long a leader with fewer than
+	// MaxBatch requests in hand waits for more before it commits. A full
+	// batch, Close, or the leader's own ctx firing ends the window early. The
+	// default 0 never waits: the leader commits at once with whatever is
+	// queued, so batches form under load and latency stays minimal when idle.
 	MaxWait time.Duration
-	// QueueCap is the submission queue capacity (default 4096). Submitters
-	// block when the queue is full — backpressure, not load shedding.
-	QueueCap int
 	// Registry receives placesvc_* metrics (placements/sec counters,
 	// batch-size and queue-latency histograms, fleet gauges). Nil disables
 	// instrumentation at the cost of one branch per commit.
@@ -91,10 +97,10 @@ type Config struct {
 	// Obs attaches the live observability plane: rolling queue-wait,
 	// batch-apply and snapshot-publish latency windows, the interarrival
 	// burstiness probe, and capacity-rejection storms feeding the flight
-	// recorder. Nil disables it; the committer then pays one branch per
-	// commit, same as Registry.
+	// recorder. Nil disables it; a commit then pays one branch, same as
+	// Registry.
 	Obs *obs.Plane
-	// Admission attaches the admission-control layer ahead of the committer:
+	// Admission attaches the admission-control layer ahead of the queue:
 	// arrivals run through the compiled policy pipeline at submit time —
 	// before they enter the queue, so sheds are real backpressure — and the
 	// config's per-class deadlines become default contexts for Arrive*.
@@ -127,12 +133,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers < 1 {
 		return c, fmt.Errorf("placesvc: Workers must be ≥ 1, got %d", c.Workers)
 	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 4096
-	}
-	if c.QueueCap < 1 {
-		return c, fmt.Errorf("placesvc: QueueCap must be ≥ 1, got %d", c.QueueCap)
-	}
 	return c, nil
 }
 
@@ -149,21 +149,22 @@ const (
 )
 
 // Cancellation states of a queued request. A cancellable waiter and the
-// committer race on state with CAS: the waiter moves pending → abandoned when
+// leader race on state with CAS: the waiter moves pending → abandoned when
 // its context fires (and returns immediately, never touching the request
-// again), the committer moves pending → claimed when it picks the batch up.
-// Whoever loses the race defers to the winner: an abandoned request is
-// skipped at commit time — never applied — and pooled by the committer; a
-// claimed request is answered normally even if the context fires late.
+// again), the leader moves pending → claimed when it takes the request into
+// its batch or elects it its successor. Whoever loses the race defers to the
+// winner: an abandoned request is skipped — never applied — and pooled by the
+// leader; a claimed one is answered, or leads, even if the context fires late.
 const (
 	reqPending int32 = iota
 	reqClaimed
 	reqAbandoned
 )
 
-// request is one queued operation plus its in-place response. Requests are
-// pooled; the done channel (capacity 1) hands the request back to the waiter,
-// which returns it to the pool after reading the response fields.
+// request is one operation plus its in-place response. Requests are pooled;
+// the done channel (capacity 1) wakes a queued waiter exactly once — to its
+// answer or, with lead set, to the leader role — and the waiter returns the
+// request to the pool after reading the response fields.
 type request struct {
 	kind  reqKind
 	vm    cloud.VM   // reqArrive
@@ -173,19 +174,20 @@ type request struct {
 	enq   time.Time  // submission time, set only when metrics are enabled
 
 	// cancellable marks requests submitted with a cancellable context; only
-	// those pay the CAS on state at commit pickup. state is a plain int32
+	// those pay the CAS on state when claimed. state is a plain int32
 	// accessed with atomic package functions because reset copies the struct.
 	cancellable bool
 	state       int32
+	lead        bool // elected by the retiring leader: claimed; its waiter leads next
 
 	// migrate marks an ArriveMigrated request: an internal shard-to-shard
-	// move, not a client arrival. The committer places it normally but keeps
+	// move, not a client arrival. The commit places it normally but keeps
 	// it out of the client-stream accounting — no interarrival-probe sample,
 	// and a capacity failure is reported to the caller without counting as a
 	// Rejected VM or feeding the rejection-storm trigger.
 	migrate bool
 
-	// Response, written by the committer before signalling done.
+	// Response, written by the leader before signalling done.
 	pmID     int
 	unplaced []cloud.VM
 	missing  []int // reqDepartBatch: ids that were not placed
@@ -221,29 +223,33 @@ type Stats struct {
 
 // Service is the concurrent admission front-end. All mutation methods are
 // safe for concurrent use and block until their request commits; Snapshot and
-// Stats never block on the committer.
+// Stats never block on a commit.
 type Service struct {
 	strategy core.QueuingFFD
 	online   *core.Online
 	maxBatch int
 	maxWait  time.Duration
 
-	mu     sync.RWMutex // guards closed vs. sends on ch
-	closed bool
-	ch     chan *request
-	wg     sync.WaitGroup
-	pool   sync.Pool
+	// Group-commit protocol state. mu is never held across a commit or a wait.
+	mu      sync.Mutex
+	queue   []*request    // FIFO of the followers no leader has taken yet
+	leading bool          // some caller holds the leader role; false ⇒ queue empty
+	closed  bool          // set by Close: submissions fail, fill windows end
+	retired sync.Cond     // on mu; broadcast when the last leader retires
+	window  chan struct{} // cap 1: ends a fill window (MaxBatch requests waiting, or Close)
+	depth   atomic.Int64  // len(queue), for QueueDepth
+	pool    sync.Pool
 
-	// Committer-owned state (no locking: single goroutine).
+	// Owned by the current leader; the hand-off under mu orders successive ones.
 	stats Stats
 	base  *cloud.Placement // immutable snapshot base
 	ring  *opRing          // lock-free op log since base (see ring.go)
-	batch []*request       // reused per-commit scratch
+	batch []*request       // the leader's own request, then the followers it took
 	arrs  []arrival        // reused per-commit scratch
 	avms  []cloud.VM       // reused per-commit scratch
 	dirty []int            // reused per-commit scratch: PMs touched by departures
 
-	snap syncSnapshot
+	snap atomic.Pointer[Snapshot] // the published snapshot cell
 
 	metrics *svcMetrics
 	obs     *obs.Plane
@@ -256,6 +262,7 @@ type Service struct {
 	admMu    sync.Mutex
 	policy   *admission.Pipeline
 	admCfg   *admission.Config
+	pms      int // pool size: the O(PMs) term of a base clone, see publish
 	slots    int
 	shedEwma float64
 }
@@ -271,7 +278,7 @@ type arrival struct {
 	req *request
 }
 
-// New builds the service and starts its committer. Close releases it.
+// New builds the service. It starts no goroutine; Close drains and seals it.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -295,19 +302,19 @@ func New(cfg Config) (*Service, error) {
 		online:   online,
 		maxBatch: cfg.MaxBatch,
 		maxWait:  cfg.MaxWait,
-		ch:       make(chan *request, cfg.QueueCap),
+		window:   make(chan struct{}, 1),
 		base:     online.Placement().Clone(),
 		ring:     newOpRing(),
 		metrics:  newSvcMetrics(cfg.Registry, policyName),
 		obs:      cfg.Obs,
 		policy:   policy,
 		admCfg:   cfg.Admission,
+		pms:      len(cfg.PMs),
 		slots:    len(cfg.PMs) * cfg.Strategy.MaxVMsPerPM,
 	}
 	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
+	s.retired.L = &s.mu
 	s.publish()
-	s.wg.Add(1)
-	go s.run()
 	return s, nil
 }
 
@@ -317,22 +324,31 @@ func New(cfg Config) (*Service, error) {
 // admission.ErrShed. Equivalent to ArriveClass with a background context and
 // ClassStandard.
 func (s *Service) Arrive(vm cloud.VM) (int, error) {
-	return s.arrive(context.Background(), vm, admission.ClassStandard)
+	return s.ArriveClass(context.Background(), vm, admission.ClassStandard)
 }
 
-// ArriveCtx is Arrive honoring ctx while queued: if ctx fires before the
-// committer picks the request up, the request is skipped at commit time —
-// never applied — and ArriveCtx returns ctx.Err(). Once the committer claims
-// the request, the placement commits and is returned even if ctx fires late.
+// ArriveCtx is Arrive honoring ctx while queued: if ctx fires before a leader
+// claims the request, the request is skipped — never applied — and ArriveCtx
+// returns ctx.Err(). Once a leader claims the request, the placement commits
+// and is returned even if ctx fires late.
 func (s *Service) ArriveCtx(ctx context.Context, vm cloud.VM) (int, error) {
-	return s.arrive(ctx, vm, admission.ClassStandard)
+	return s.ArriveClass(ctx, vm, admission.ClassStandard)
 }
 
 // ArriveClass is ArriveCtx with an explicit priority class. The class feeds
 // the admission policy (lower classes shed first) and selects the config's
 // default deadline, applied when ctx carries none.
 func (s *Service) ArriveClass(ctx context.Context, vm cloud.VM, class admission.Class) (int, error) {
-	return s.arrive(ctx, vm, class)
+	if s.policy != nil {
+		if err := s.admit(1, class); err != nil {
+			return 0, err
+		}
+		var cancel context.CancelFunc
+		if ctx, cancel = s.deadlineCtx(ctx, class); cancel != nil {
+			defer cancel()
+		}
+	}
+	return s.place(ctx, vm, false)
 }
 
 // ArriveMigrated places one VM through the internal migration path: the
@@ -348,30 +364,14 @@ func (s *Service) ArriveClass(ctx context.Context, vm cloud.VM, class admission.
 // does its own failure bookkeeping. The Eq. (17) capacity test itself still
 // applies in full.
 func (s *Service) ArriveMigrated(vm cloud.VM) (int, error) {
-	r := s.get(reqArrive)
-	r.vm = vm
-	r.migrate = true
-	if err := s.submit(r); err != nil {
-		return 0, err
-	}
-	pmID, err := r.pmID, r.err
-	s.put(r)
-	return pmID, err
+	return s.place(context.Background(), vm, true)
 }
 
-func (s *Service) arrive(ctx context.Context, vm cloud.VM, class admission.Class) (int, error) {
-	if s.policy != nil {
-		if err := s.admit(1, class); err != nil {
-			return 0, err
-		}
-		var cancel context.CancelFunc
-		if ctx, cancel = s.deadlineCtx(ctx, class); cancel != nil {
-			defer cancel()
-		}
-	}
+// place queues one arrival, past the admission layer, and returns its PM.
+func (s *Service) place(ctx context.Context, vm cloud.VM, migrate bool) (int, error) {
 	r := s.get(reqArrive)
-	r.vm = vm
-	if err := s.submitCtx(ctx, r); err != nil {
+	r.vm, r.migrate = vm, migrate
+	if err := s.submit(ctx, r); err != nil {
 		return 0, err
 	}
 	pmID, err := r.pmID, r.err
@@ -384,22 +384,18 @@ func (s *Service) arrive(ctx context.Context, vm cloud.VM, class admission.Class
 // remaining VMs and is returned as the error. The batch's VMs are ordered
 // together with every other arrival coalesced into the same commit.
 func (s *Service) ArriveBatch(vms []cloud.VM) (unplaced []cloud.VM, err error) {
-	return s.arriveBatch(context.Background(), vms, admission.ClassStandard)
+	return s.ArriveBatchClass(context.Background(), vms, admission.ClassStandard)
 }
 
 // ArriveBatchCtx is ArriveBatch honoring ctx while queued, with the ArriveCtx
 // cancellation contract. The admission policy charges the whole batch at once
 // (cost = len(vms)): a shed rejects the batch entire, before it queues.
 func (s *Service) ArriveBatchCtx(ctx context.Context, vms []cloud.VM) (unplaced []cloud.VM, err error) {
-	return s.arriveBatch(ctx, vms, admission.ClassStandard)
+	return s.ArriveBatchClass(ctx, vms, admission.ClassStandard)
 }
 
 // ArriveBatchClass is ArriveBatchCtx with an explicit priority class.
 func (s *Service) ArriveBatchClass(ctx context.Context, vms []cloud.VM, class admission.Class) (unplaced []cloud.VM, err error) {
-	return s.arriveBatch(ctx, vms, class)
-}
-
-func (s *Service) arriveBatch(ctx context.Context, vms []cloud.VM, class admission.Class) (unplaced []cloud.VM, err error) {
 	if err := cloud.ValidateVMs(vms); err != nil {
 		return nil, err
 	}
@@ -417,7 +413,7 @@ func (s *Service) arriveBatch(ctx context.Context, vms []cloud.VM, class admissi
 	}
 	r := s.get(reqArriveBatch)
 	r.vms = vms
-	if err := s.submitCtx(ctx, r); err != nil {
+	if err := s.submit(ctx, r); err != nil {
 		return nil, err
 	}
 	unplaced, err = r.unplaced, r.err
@@ -437,7 +433,7 @@ func (s *Service) Depart(vmID int) error {
 func (s *Service) DepartCtx(ctx context.Context, vmID int) error {
 	r := s.get(reqDepart)
 	r.vmID = vmID
-	if err := s.submitCtx(ctx, r); err != nil {
+	if err := s.submit(ctx, r); err != nil {
 		return err
 	}
 	err := r.err
@@ -468,7 +464,7 @@ func (s *Service) admit(cost int, class admission.Class) error {
 	ewma := s.shedEwma
 	s.admMu.Unlock()
 	if m := s.metrics; m != nil {
-		m.admQueueDepth.Set(float64(len(s.ch)))
+		m.admQueueDepth.Set(float64(s.QueueDepth()))
 		m.shedEwma.Set(ewma)
 	}
 	if d.Admit {
@@ -503,7 +499,7 @@ func (s *Service) deadlineCtx(ctx context.Context, class admission.Class) (conte
 // DepartBatch removes a batch of VMs in one request — the departure
 // counterpart of ArriveBatch. All removals commit together; ids that were not
 // placed come back in missing (the batch's other departures still apply).
-// Batched departures are where the committer's parallel rescore earns its
+// Batched departures are where the commit's parallel rescore earns its
 // keep: the batch frees capacity across many PMs, and the touched PMs are
 // rescored in one fan-out instead of one tree update per departure.
 func (s *Service) DepartBatch(vmIDs []int) (missing []int, err error) {
@@ -512,7 +508,7 @@ func (s *Service) DepartBatch(vmIDs []int) (missing []int, err error) {
 	}
 	r := s.get(reqDepartBatch)
 	r.vmIDs = vmIDs
-	if err := s.submit(r); err != nil {
+	if err := s.submit(context.Background(), r); err != nil {
 		return nil, err
 	}
 	missing, err = r.missing, r.err
@@ -526,7 +522,7 @@ func (s *Service) DepartBatch(vmIDs []int) (missing []int, err error) {
 // within this service or across services sharing the cache — solve once.
 func (s *Service) RefreshTable() error {
 	r := s.get(reqRefresh)
-	if err := s.submit(r); err != nil {
+	if err := s.submit(context.Background(), r); err != nil {
 		return err
 	}
 	err := r.err
@@ -541,23 +537,22 @@ func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
 // Stats returns the latest published counters.
 func (s *Service) Stats() Stats { return s.snap.Load().Stats() }
 
-// QueueDepth returns the number of requests currently buffered ahead of the
-// committer — an instantaneous backpressure reading. Safe for concurrent
-// use; the shardsvc federation exports it per shard.
-func (s *Service) QueueDepth() int { return len(s.ch) }
+// QueueDepth returns the number of requests no leader has taken yet — an
+// instantaneous backpressure reading. Safe for concurrent use; the shardsvc
+// federation exports it per shard.
+func (s *Service) QueueDepth() int { return int(s.depth.Load()) }
 
-// Close stops the committer after draining every queued request. Requests
-// submitted after Close fail with ErrClosed; Close itself is idempotent.
+// Close seals the service, ends an open fill window and returns once the last
+// leader has retired, so every request queued before it has committed.
+// Requests submitted after Close fail with ErrClosed; Close is idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
 	s.closed = true
-	close(s.ch)
+	s.signalWindow()
+	for s.leading {
+		s.retired.Wait()
+	}
 	s.mu.Unlock()
-	s.wg.Wait()
 	return nil
 }
 
@@ -570,149 +565,161 @@ func (s *Service) get(kind reqKind) *request {
 
 func (s *Service) put(r *request) { s.pool.Put(r) }
 
-// submit enqueues the request and waits for its commit. The RLock pairs with
-// Close's Lock so a send can never race the channel close; a full queue
-// blocks the submitter (backpressure) while the committer keeps draining.
-func (s *Service) submit(r *request) error {
+// submit hands the request to the group commit and returns once it has
+// committed — on this goroutine when the caller finds nobody leading or is
+// elected, on the leader's otherwise — or once a cancellable ctx made the
+// caller abandon it (the reqPending state machine). Non-cancellable contexts
+// never touch the state word: the bit-identical equivalence contract.
+func (s *Service) submit(ctx context.Context, r *request) error {
+	done := ctx.Done()
+	if done != nil {
+		if err := ctx.Err(); err != nil {
+			s.put(r)
+			return err
+		}
+		r.cancellable = true
+	}
 	if s.metrics != nil || s.obs != nil {
 		r.enq = time.Now()
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	if s.closed {
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		s.put(r)
 		return ErrClosed
 	}
-	s.ch <- r
-	s.mu.RUnlock()
-	<-r.done
-	return nil
-}
-
-// submitCtx is submit honoring ctx. Non-cancellable contexts (background,
-// valueless) take the exact submit path, preserving the bit-identical
-// equivalence contract; cancellable ones race the committer on the request's
-// state word — see the reqPending state machine. Whichever side loses its CAS
-// defers to the winner, so a request is either applied and answered, or
-// abandoned and skipped, never both and never leaked.
-func (s *Service) submitCtx(ctx context.Context, r *request) error {
-	if ctx.Done() == nil {
-		return s.submit(r)
+	if !s.leading {
+		s.leading = true
+		s.batch = append(s.batch[:0], r)
+		return s.lead(ctx, r)
 	}
-	if err := ctx.Err(); err != nil {
-		s.put(r)
-		return err
+	s.queue = append(s.queue, r)
+	s.depth.Store(int64(len(s.queue)))
+	if len(s.queue) == s.maxBatch-1 { // with the leader's own, a full batch
+		s.signalWindow()
 	}
-	r.cancellable = true
-	if s.metrics != nil || s.obs != nil {
-		r.enq = time.Now()
-	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.put(r)
-		return ErrClosed
-	}
-	select {
-	case s.ch <- r:
-		s.mu.RUnlock()
-	case <-ctx.Done():
-		// Never enqueued: the waiter still owns the request.
-		s.mu.RUnlock()
-		s.put(r)
-		return ctx.Err()
-	}
+	s.mu.Unlock()
 	select {
 	case <-r.done:
-		return nil
-	case <-ctx.Done():
+	case <-done:
 		if atomic.CompareAndSwapInt32(&r.state, reqPending, reqAbandoned) {
-			// Ownership passed to the committer, which will skip and pool
-			// the request; the waiter must not touch it again.
-			return ctx.Err()
+			return ctx.Err() // a leader will skip and pool r: hands off it
 		}
-		// The committer claimed it first: the answer is imminent.
-		<-r.done
+		<-r.done // a leader claimed it first: the answer, or the role, is imminent
+	}
+	if !r.lead {
 		return nil
 	}
+	s.mu.Lock()
+	return s.lead(ctx, r)
 }
 
-// run is the committer: block for one request, coalesce up to maxBatch
-// (waiting at most maxWait when configured), commit, repeat. A closed channel
-// keeps delivering its buffered requests, so every queued request commits
-// before the committer exits.
-func (s *Service) run() {
-	defer s.wg.Done()
-	var timer *time.Timer
-	for {
-		first, ok := <-s.ch
-		if !ok {
-			return
+// lead runs the caller as the leader: fill window, take, commit, answer, hand
+// off. Called with mu held, leading set and the batch holding just own, the
+// caller's request; returns with mu released and own committed or given up.
+func (s *Service) lead(ctx context.Context, own *request) (err error) {
+	if s.maxWait > 0 && len(s.batch)+len(s.queue) < s.maxBatch && !s.closed {
+		select {
+		case <-s.window: // stale: left by a signal no window was open for
+		default:
 		}
-		s.batch = append(s.batch[:0], first)
-		if s.maxWait > 0 {
-			if timer == nil {
-				timer = time.NewTimer(s.maxWait)
-			} else {
-				timer.Reset(s.maxWait)
-			}
-		collect:
-			for len(s.batch) < s.maxBatch {
-				select {
-				case r, chOpen := <-s.ch:
-					if !chOpen {
-						break collect
-					}
-					s.batch = append(s.batch, r)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		} else {
-		drain:
-			for len(s.batch) < s.maxBatch {
-				select {
-				case r, chOpen := <-s.ch:
-					if !chOpen {
-						break drain
-					}
-					s.batch = append(s.batch, r)
-				default:
-					break drain
-				}
+		s.mu.Unlock()
+		timer := time.NewTimer(s.maxWait)
+		select {
+		case <-s.window:
+		case <-timer.C:
+		case <-ctx.Done():
+			if !own.lead {
+				// Never queued, so nobody else holds own (an elected request
+				// is claimed and commits regardless): drop it from the batch.
+				s.batch = s.batch[:0]
+				s.put(own)
+				own, err = nil, ctx.Err()
 			}
 		}
-		s.commit(s.batch)
+		timer.Stop()
+		s.mu.Lock()
 	}
+	s.fill(s.maxBatch)
+	s.mu.Unlock()
+	woke := false
+	if len(s.batch) > 0 {
+		s.commit(s.batch)
+		// Answering after publication: a client that reads the snapshot
+		// after its response sees a version ≥ the commit that placed it.
+		for _, r := range s.batch {
+			if r != own {
+				r.done <- struct{}{}
+				woke = true
+			}
+		}
+	}
+	s.mu.Lock()
+	next := s.elect()
+	s.mu.Unlock()
+	if next != nil {
+		next.done <- struct{}{}
+		woke = true
+	}
+	if woke {
+		// Part of the protocol, not tuning: the woken goroutine sits in this
+		// P's runnext, and a leader that never blocks keeps the P — the
+		// follower then waits for another P to steal it, tens of µs. Yielding
+		// runs it now and requeues the leader globally.
+		runtime.Gosched()
+	}
+	return err
 }
 
-// commit applies one coalesced batch: departures, then Algorithm-2-ordered
-// arrivals, then refreshes; publishes the snapshot; finally answers every
-// waiter. Responding after publication guarantees a client that reads the
-// snapshot after its response sees a version ≥ the commit that placed it.
-func (s *Service) commit(batch []*request) {
-	// Phase 0: claim. Cancellable requests race their waiters on the state
-	// word; one the waiter abandoned first is dropped from the batch here —
-	// before any counting or applying — and pooled by the committer, which
-	// now owns it. Its waiter has already returned ctx.Err() and will never
-	// touch it again. Non-cancellable requests skip the CAS entirely.
-	kept := batch[:0]
-	for _, r := range batch {
+// fill moves requests from the queue head into the leader's batch, in queue
+// order, until the batch holds limit. It claims each one; a request whose
+// waiter abandoned it first — and is gone — is pooled instead. Under mu.
+func (s *Service) fill(limit int) {
+	n := 0
+	for ; n < len(s.queue) && len(s.batch) < limit; n++ {
+		r := s.queue[n]
 		if r.cancellable && !atomic.CompareAndSwapInt32(&r.state, reqPending, reqClaimed) {
 			s.put(r)
 			continue
 		}
-		kept = append(kept, r)
+		s.batch = append(s.batch, r)
 	}
-	if batch = kept; len(batch) == 0 {
+	if n == 0 {
 		return
 	}
+	rest := copy(s.queue, s.queue[n:])
+	clear(s.queue[rest:])
+	s.queue = s.queue[:rest]
+	s.depth.Store(int64(rest))
+}
+
+// elect passes the leader role on, under mu: the first queued request still
+// wanted starts the next batch and its waiter, which the caller wakes, leads;
+// with nobody queued the leader retires and a waiting Close may return.
+func (s *Service) elect() *request {
+	s.batch = s.batch[:0]
+	if s.fill(1); len(s.batch) == 0 {
+		s.leading = false
+		s.retired.Broadcast()
+		return nil
+	}
+	s.batch[0].lead = true
+	return s.batch[0]
+}
+
+// signalWindow ends the leader's fill window, if one is open. Always under mu,
+// which is what lets lead tell a stale signal from a live one.
+func (s *Service) signalWindow() {
+	select {
+	case s.window <- struct{}{}:
+	default:
+	}
+}
+
+// commit applies one coalesced batch on the leader's goroutine: departures,
+// then Algorithm-2-ordered arrivals, then refreshes; then publishes the
+// snapshot. Every request in the batch is already claimed.
+func (s *Service) commit(batch []*request) {
 	// Span timing is sampled one commit in obsSampleEvery: the rolling
 	// quantiles only need a uniform subsample, and skipping the clock reads
 	// and window pushes on the other commits keeps the obs-on overhead on
@@ -732,7 +739,7 @@ func (s *Service) commit(batch []*request) {
 		for _, r := range batch {
 			m.queueLatency.Observe(applyStart.Sub(r.enq))
 		}
-		m.queueDepth.Set(float64(len(s.ch)))
+		m.queueDepth.Set(float64(s.QueueDepth()))
 	}
 	if o := s.obs; o != nil {
 		for _, r := range batch {
@@ -884,9 +891,6 @@ func (s *Service) commit(batch []*request) {
 			// rejection.
 			o.ObserveRejections(int(d))
 		}
-	}
-	for _, r := range batch {
-		r.done <- struct{}{}
 	}
 }
 

@@ -59,9 +59,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Strategy: paperStrategy(), PMs: mkPool(1, 100), POn: 0.01, POff: 0.09, MaxWait: -time.Second}); err == nil {
 		t.Error("negative MaxWait accepted")
 	}
-	if _, err := New(Config{Strategy: paperStrategy(), PMs: mkPool(1, 100), POn: 0.01, POff: 0.09, QueueCap: -1}); err == nil {
-		t.Error("negative QueueCap accepted")
-	}
 	bad := paperStrategy()
 	bad.Method = core.ClusterMethod(99)
 	if _, err := New(Config{Strategy: bad, PMs: mkPool(1, 100), POn: 0.01, POff: 0.09}); err == nil {

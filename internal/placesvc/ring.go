@@ -1,7 +1,7 @@
 package placesvc
 
 // The snapshot op ring: a lock-free, single-writer, chunked append-only log
-// of committed mutations. It replaces the grow-append journal + committer-side
+// of committed mutations. It replaces the grow-append journal + commit-path
 // re-clone of earlier versions, whose two failure modes under load were
 // (a) append-time reallocation bursts copying the whole journal and (b) an
 // O(fleet) Placement.Clone inside the commit path every time the journal
@@ -9,8 +9,9 @@ package placesvc
 //
 // Concurrency model:
 //
-//   - The committer is the only writer. It appends ops into fixed-size chunks
-//     linked through plain `next` pointers and never mutates an op slot twice.
+//   - The current leader is the only writer (the role hand-off orders
+//     successive leaders). It appends ops into fixed-size chunks linked
+//     through plain `next` pointers and never mutates an op slot twice.
 //   - Readers never touch the ring directly: they receive a *Snapshot through
 //     the service's atomic pointer. The atomic publish is the release/acquire
 //     edge that makes every op the snapshot references (head, skip, count)
@@ -21,7 +22,7 @@ package placesvc
 //
 // Epochs: every base swap — adopting a reader-materialised placement or the
 // clone fallback — advances the ring epoch. A snapshot's epoch names the base
-// lineage its (head, skip, count) triple is relative to; the committer only
+// lineage its (head, skip, count) triple is relative to; a commit only
 // adopts a materialisation whose epoch matches the current one, which is what
 // makes adoption sound without ever comparing placements.
 const opChunkSize = 256

@@ -86,31 +86,40 @@ func TestSnapshotAdoption(t *testing.T) {
 
 // With nobody reading snapshots, ring growth is bounded by the clone
 // fallback: a churny arrive/depart workload whose fleet stays small must
-// trigger base re-clones (rebuilds counter) and keep the window short.
+// trigger base re-clones (rebuilds counter) and keep the window short — but
+// no shorter than the pool is large: a clone costs O(PMs + VMs), so a big,
+// nearly empty pool must not be re-cloned every few hundred ops.
 func TestSnapshotCloneFallback(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	svc := newServiceT(t, Config{PMs: mkPool(50, 1e9), MaxBatch: 1, Registry: reg})
-	for i := 0; i < 20*rebuildMinOps; i++ {
-		if _, err := svc.Arrive(mkVM(i, 1, 1)); err != nil {
+	for _, pms := range []int{50, 1000} {
+		reg := telemetry.NewRegistry()
+		svc := newServiceT(t, Config{PMs: mkPool(pms, 1e9), MaxBatch: 1, Registry: reg})
+		const ops = 40 * rebuildMinOps
+		for i := 0; i < ops/2; i++ {
+			if _, err := svc.Arrive(mkVM(i, 1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Depart(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		threshold := cloneFallbackFactor * max(rebuildMinOps, pms/2)
+		got := reg.Snapshot().Counters["placesvc_snapshot_rebuilds_total"]
+		if got == 0 {
+			t.Errorf("%d PMs: ring window never rebased: clone fallback did not bound an unread ring", pms)
+		}
+		if most := uint64(ops / threshold); got > most {
+			t.Errorf("%d PMs: %d base clones in %d ops, want at most %d (one per %d ops)", pms, got, ops, most, threshold)
+		}
+		if w := svc.ring.count; w > threshold+1 {
+			t.Errorf("%d PMs: ring window grew to %d ops despite the fallback", pms, w)
+		}
+		p, err := svc.Snapshot().Placement()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Depart(i); err != nil {
-			t.Fatal(err)
+		if p.NumVMs() != 0 {
+			t.Errorf("%d PMs: final snapshot holds %d VMs, want 0", pms, p.NumVMs())
 		}
-	}
-	tsnap := reg.Snapshot()
-	if got := tsnap.Counters["placesvc_snapshot_rebuilds_total"]; got == 0 {
-		t.Error("ring window never rebased: clone fallback did not bound an unread ring")
-	}
-	if w := svc.ring.count; w > cloneFallbackFactor*rebuildMinOps+2*rebuildMinOps {
-		t.Errorf("ring window grew to %d ops despite the fallback", w)
-	}
-	p, err := svc.Snapshot().Placement()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumVMs() != 0 {
-		t.Errorf("final snapshot holds %d VMs, want 0", p.NumVMs())
 	}
 }
 

@@ -25,8 +25,8 @@ type op struct {
 // block, the current mapping table, a shared immutable base placement, and a
 // window into the lock-free op ring — (head, skip, count) locating the ops
 // committed since the base, plus the append position at publish time
-// (endChunk, endOff) so the committer can later adopt this snapshot's
-// materialisation as a new base. The committer never clones on the commit
+// (endChunk, endOff) so a later commit can adopt this snapshot's
+// materialisation as a new base. The service never clones on the commit
 // path while readers keep materialising: each materialised placement is
 // recycled as the next base (see Service.publish), so snapshot upkeep stays
 // O(1) per admission with no clone bursts.
@@ -55,14 +55,14 @@ type Snapshot struct {
 	once     sync.Once
 	mat      *cloud.Placement
 	matErr   error
-	matReady atomic.Bool // publication edge from reader to committer
+	matReady atomic.Bool // publication edge from reader to leader
 }
 
 // Version returns the commit number that published this snapshot.
 func (s *Snapshot) Version() uint64 { return s.stats.Version }
 
 // Epoch returns the snapshot-base lineage this snapshot belongs to. The epoch
-// advances every time the committer swaps the shared base placement —
+// advances every time a commit swaps the shared base placement —
 // adopting a reader-materialised snapshot or the clone fallback; two
 // snapshots with equal epochs share one base and differ only in their ring
 // windows.
@@ -100,7 +100,7 @@ func (s *Snapshot) Table() *queuing.MappingTable { return s.table }
 
 // Placement materialises the placement as of this snapshot: clone the shared
 // base, replay the ring window. The result is memoised and shared — callers
-// must treat it as read-only (the committer may adopt it as the next base).
+// must treat it as read-only (a later commit may adopt it as the next base).
 func (s *Snapshot) Placement() (*cloud.Placement, error) {
 	s.once.Do(func() {
 		p := s.base.Clone()
@@ -142,27 +142,22 @@ func (s *Snapshot) Overflows() ([]cloud.Violation, error) {
 	return cloud.CheckReserved(p, s.table), nil
 }
 
-// syncSnapshot is the atomically-swapped snapshot cell.
-type syncSnapshot struct {
-	p atomic.Pointer[Snapshot]
-}
-
-func (c *syncSnapshot) Load() *Snapshot { return c.p.Load() }
-
-// rebuildMinOps is the ring-window length below which the committer never
+// rebuildMinOps is the ring-window length below which a commit never
 // swaps the base — tiny fleets would otherwise rebase every commit.
 const rebuildMinOps = 64
 
-// cloneFallbackFactor scales the clone-fallback threshold relative to the
-// adoption threshold: the committer only pays an O(fleet) clone when the
-// window has outgrown the fleet itself and no reader materialisation is
-// available to adopt (nobody is reading snapshots, so nobody pays replay
-// either — the clone just bounds ring memory).
+// cloneFallbackFactor scales the clone-fallback threshold: the leader only
+// pays a Placement.Clone — O(PMs + VMs), so the threshold counts both — when
+// the window has outgrown cloneFallbackFactor·max(adoption threshold, PMs/2)
+// ops and no reader materialisation is available to adopt (nobody is reading
+// snapshots, so nobody pays replay either — the clone just bounds ring
+// memory: an unread service holds at most that many 64-byte ops plus one
+// commit's, ~128 KB per 1000 PMs, and clones once per that many ops).
 const cloneFallbackFactor = 4
 
-// publish refreshes the committer's snapshot cell after a commit (and once at
-// construction). When the ring window outgrows max(rebuildMinOps, fleet/2)
-// the committer prefers *adopting* the latest snapshot's reader-materialised
+// publish refreshes the service's snapshot cell after a commit (and once at
+// construction). When the ring window outgrows max(rebuildMinOps, VMs/2)
+// the leader prefers *adopting* the latest snapshot's reader-materialised
 // placement as the new base — O(1), no copying, sound because the
 // materialisation is exactly base+window at that snapshot's position and its
 // epoch proves the lineage. The O(fleet) live-placement clone survives only
@@ -182,7 +177,7 @@ func (s *Service) publish() {
 				s.metrics.adoptions.Inc()
 			}
 		}
-		if s.ring.count > cloneFallbackFactor*limit {
+		if s.ring.count > cloneFallbackFactor*max(limit, s.pms/2) {
 			s.base = live.Clone()
 			s.ring.rebase()
 			if s.metrics != nil {
@@ -202,7 +197,7 @@ func (s *Service) publish() {
 		endChunk: s.ring.tail,
 		endOff:   s.ring.tail.n,
 	}
-	s.snap.p.Store(snap)
+	s.snap.Store(snap)
 	if m := s.metrics; m != nil {
 		m.version.Set(float64(s.stats.Version))
 		m.vms.Set(float64(s.stats.VMs))

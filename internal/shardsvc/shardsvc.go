@@ -1,9 +1,9 @@
 // Package shardsvc federates the placesvc admission plane: it partitions the
 // PM pool into MaxShards independent placesvc.Service shards — each with its
-// own committer goroutine, submission queue, op-ring snapshot pipeline and
-// fit index — and fronts them with a power-of-d-choices router reading the
-// shards' lock-free snapshots. One committer's throughput ceiling (one
-// Algorithm-2 ordering pass per commit) becomes MaxShards ceilings; the price
+// own submission queue and leader, op-ring snapshot pipeline and fit index —
+// and fronts them with a power-of-d-choices router reading the shards'
+// lock-free snapshots. One service's throughput ceiling (one commit at a
+// time, one Algorithm-2 ordering pass each) becomes MaxShards ceilings; the price
 // is that first-fit runs per shard, so placements differ from the single
 // fleet-wide service once MaxShards > 1.
 //
@@ -40,8 +40,8 @@ import (
 )
 
 // Config assembles a Federation. Strategy/PMs/POn/POff/MaxBatch/Workers/
-// MaxWait/QueueCap pass through to every shard's placesvc.Config; the
-// remaining fields shape the federation itself.
+// MaxWait pass through to every shard's placesvc.Config; the remaining
+// fields shape the federation itself.
 type Config struct {
 	// Strategy is the per-shard admission policy (Eq. 17 mapping table).
 	Strategy core.QueuingFFD
@@ -64,12 +64,11 @@ type Config struct {
 	// Seed keys the router's hash. Runs with equal Seed, MaxShards and D
 	// route a sequential stream identically.
 	Seed uint64
-	// MaxBatch, Workers, MaxWait, QueueCap configure each shard's committer
-	// exactly as in placesvc.Config (defaults likewise).
+	// MaxBatch, Workers, MaxWait configure each shard's group commit exactly
+	// as in placesvc.Config (defaults likewise).
 	MaxBatch int
 	Workers  int
 	MaxWait  time.Duration
-	QueueCap int
 	// Registry receives the federation's shardsvc_* metrics (per-shard
 	// routing counters and headroom/queue-depth gauges, forward and
 	// rebalance counters). Shards run with a nil registry — their gauges
@@ -95,7 +94,7 @@ type Config struct {
 }
 
 // Federation is the sharded admission front-end. All mutation methods are
-// safe for concurrent use; snapshot reads never block any committer.
+// safe for concurrent use; snapshot reads never block any commit.
 type Federation struct {
 	shards []*placesvc.Service
 	bounds []int // ShardBounds over Config.PMs: shard i owns PMs[bounds[i]:bounds[i+1]]
@@ -201,7 +200,6 @@ func New(cfg Config) (*Federation, error) {
 			MaxBatch:  cfg.MaxBatch,
 			Workers:   cfg.Workers,
 			MaxWait:   cfg.MaxWait,
-			QueueCap:  cfg.QueueCap,
 			Obs:       cfg.Obs,
 			Admission: shardAdm,
 		})
@@ -229,7 +227,7 @@ func (f *Federation) Shard(i int) *placesvc.Service { return f.shards[i] }
 
 // ShardSnapshots returns every shard's latest snapshot, index-aligned with
 // Shard. The set is not atomic across shards — each is the newest published
-// by its own committer.
+// by its own shard.
 func (f *Federation) ShardSnapshots() []*placesvc.Snapshot {
 	out := make([]*placesvc.Snapshot, len(f.shards))
 	for i, s := range f.shards {
