@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-baseline bench-pr2 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr9 bench-pr10 bench-smoke bench-compare bench-compare-pr5 bench-compare-pr6 bench-compare-pr7 bench-compare-pr9 bench-compare-pr10 bench-suite-smoke loadgen-smoke metrics-smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-compare bench-smoke bench-suite-smoke loadgen-smoke metrics-smoke fuzz cover clean
 
 all: build vet test
 
@@ -21,182 +21,20 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The repository's one benchmark (bench/README.md, BENCHMARK.json): all four
+# workloads, end-to-end metrics plus the layer ladder, into one report named
+# after the commit it measured.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh -o bench/out/$$(git rev-parse --short HEAD).json
 
-# Regenerate the committed benchmark baseline (root-package harness only,
-# one short iteration set — a smoke baseline, not a rigorous comparison).
-bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json . > BENCH_baseline.json
-
-# Snapshot of the fast-path solve engine's numbers, committed next to the
-# baseline so bench-compare can verify the speedup (and catch regressions).
-bench-pr2:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json . > BENCH_pr2.json
-
-# Snapshot of the fleet-scale engine's numbers (incremental ledger + indexed
-# placement + sharded stepping) across the 10k/100k/1M ladder. The linear
-# placer is skipped at 1M by the benchmark itself.
-bench-pr4:
-	SCALE_BENCH_FULL=1 $(GO) test -run '^$$' -bench 'BenchmarkScale' -benchmem \
-		-benchtime 1x -timeout 60m -json ./internal/sim/ ./internal/core/ > BENCH_pr4.json
-
-# Snapshot of the admission-service numbers: BenchmarkServeAdmit (1/4/16
-# clients) vs BenchmarkSerialAdmit across the 1k/10k/100k PM ladder, plus a
-# loadgen throughput line in the same test2json dialect. Note the concurrency
-# speedup only shows on a multi-core runner; a single-core box measures the
-# queue-hop overhead instead.
-bench-pr5:
-	SCALE_BENCH_FULL=1 $(GO) test -run '^$$' -bench 'Admit' -benchmem \
-		-benchtime 10000x -timeout 30m -json ./internal/placesvc/ > BENCH_pr5.json
-	$(GO) run ./cmd/loadgen -pms 1000 -clients 4 -ops 20000 -bench >> BENCH_pr5.json
-
-# Snapshot of the observability-plane overhead: the obs-sensitive hot paths
-# (BenchmarkScaleStep, BenchmarkServeAdmit) measured obs-off into
-# BENCH_pr6_off.json and obs-on (OBS_BENCH=1 attaches a full obs.Plane to the
-# same benchmarks, same names) into BENCH_pr6.json. bench-compare-pr6 diffs
-# the pair; the acceptance bar is single-digit-percent obs-on overhead.
-# The off and on runs are interleaved (three alternating rounds, -count 2
-# each) and benchfmt keeps the fastest run per name, so the comparison is
-# minimum-vs-minimum across rounds taken under the same machine conditions.
-# Measuring one side entirely before the other instead lets clock/neighbor
-# drift on a shared box masquerade as obs overhead — the second side measures
-# uniformly slower regardless of the code under test.
-PR6BENCH = $(GO) test -run '^$$' -bench 'BenchmarkScaleStep|BenchmarkServeAdmit' \
-	-benchmem -benchtime 500x -count 2 -timeout 10m -json ./internal/sim/ ./internal/placesvc/
-bench-pr6:
-	rm -f BENCH_pr6_off.json BENCH_pr6.json
-	for i in 1 2 3; do \
-		$(PR6BENCH) >> BENCH_pr6_off.json && \
-		OBS_BENCH=1 $(PR6BENCH) >> BENCH_pr6.json || exit 1; \
-	done
-
-# Gate the obs-on overhead against the obs-off snapshot: >20% ns/op regression
-# on the obs-sensitive benchmarks fails the target. ns/op only: attaching the
-# plane adds a small fixed number of allocations per *step* (boxing one
-# StepEvent for the tracer, ~5 allocs against a 10k-VM sweep), which is
-# negligible in absolute terms but an unbounded percentage of the tiny
-# obs-off baseline, so an allocs gate would always trip on it.
-bench-compare-pr6:
-	$(GO) run ./cmd/benchdiff -old BENCH_pr6_off.json -new BENCH_pr6.json \
-		-critical 'BenchmarkScaleStep|BenchmarkServeAdmit'
-
-# GOMAXPROCS matrix for the multi-core hot paths: BenchmarkScaleStep (sharded
-# simulation), BenchmarkServeAdmit (parallel committer, Workers = GOMAXPROCS)
-# and BenchmarkBatchApply (explicit workers sub-dimension) at -cpu 1,4,8, plus
-# loadgen throughput lines at GOMAXPROCS 1/4/8. The testing package tags every
-# non-single-proc level with a -P name suffix, which benchfmt parses into a
-# procs dimension — one snapshot holds the whole matrix without key
-# collisions, and the single-proc level keeps the key every older snapshot
-# used. Rounds are interleaved (three rounds, -count 2 each) and benchfmt
-# keeps the fastest run per (name, procs) key, so comparisons are
-# minimum-vs-minimum under the same machine conditions — the same
-# drift-resistance rationale as bench-pr6. On a single-core host the >1
-# levels measure oversubscribed scheduling, not parallel speedup; record the
-# matrix on a multi-core runner for meaningful cross-level deltas.
-PR7BENCH = $(GO) test -run '^$$' -bench 'BenchmarkScaleStep|BenchmarkServeAdmit|BenchmarkBatchApply' \
-	-benchmem -benchtime 100x -count 2 -cpu 1,4,8 -timeout 30m -json ./internal/sim/ ./internal/placesvc/
-define PR7RUN
-	rm -f $(1)
-	for i in 1 2 3; do \
-		$(PR7BENCH) >> $(1) || exit 1; \
-	done
-	for p in 1 4 8; do \
-		GOMAXPROCS=$$p $(GO) run ./cmd/loadgen -pms 1000 -clients 4 -ops 20000 -bench >> $(1) || exit 1; \
-	done
-endef
-bench-pr7:
-	$(call PR7RUN,BENCH_pr7.json)
-
-# Federated-plane snapshot: BenchmarkShardAdmit sweeps the shard ladder
-# (1/2/4/8 shards × 1/4/16 clients at 1k PMs; shards=1 is the single-committer
-# baseline the federation must not tax), BenchmarkRouterPick isolates the
-# power-of-d draw, and loadgen throughput lines at -shards 1 and -shards 4
-# carry the end-to-end rejected-frac metric. Rounds are interleaved (three
-# rounds, -count 2 each) and benchfmt keeps the fastest run per name — the
-# same drift-resistance rationale as bench-pr6/pr7. On a single-core host the
-# multi-shard levels measure routing overhead, not parallel committer speedup;
-# record on a multi-core runner for meaningful cross-shard deltas.
-PR9BENCH = $(GO) test -run '^$$' -bench 'BenchmarkShardAdmit|BenchmarkRouterPick' \
-	-benchmem -benchtime 2000x -count 2 -timeout 30m -json ./internal/shardsvc/
-define PR9RUN
-	rm -f $(1)
-	for i in 1 2 3; do \
-		$(PR9BENCH) >> $(1) || exit 1; \
-	done
-	for s in 1 4; do \
-		$(GO) run ./cmd/loadgen -pms 1000 -clients 4 -ops 20000 -shards $$s -bench >> $(1) || exit 1; \
-	done
-endef
-bench-pr9:
-	$(call PR9RUN,BENCH_pr9.json)
-
-# Gate the federated plane against the committed snapshot: >20% ns/op or
-# allocs/op regression on ShardAdmit/Loadgen fails the target, and so does a
-# >5% absolute rejected-frac increase on the loadgen lines (the federation may
-# not buy throughput by shedding more work).
-bench-compare-pr9: BENCH_pr9_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr9.json -new BENCH_pr9_new.json \
-		-critical 'BenchmarkShardAdmit|BenchmarkLoadgen' -allocs \
-		-max-regress 0.20 -max-shed-regress 0.05
-
-# Fresh measurement of the federated benchmarks for bench-compare-pr9 (not
-# committed; delete after comparing).
-BENCH_pr9_new.json:
-	$(call PR9RUN,$@)
-
-# Transient-engine snapshot (PR 10): BenchmarkTransientClosedForm sweeps
-# k ∈ {16,64,256} × t ∈ {10,10³,10⁶} (each iteration a cold closed-form
-# forecast — the t-rows must be flat, demonstrating t-independence),
-# BenchmarkTransientMatrix runs the O(t·k²) oracle on the horizons it can
-# afford (its t=10³ row against the closed form's is the ≥100× headline;
-# t=10⁶ is omitted — minutes per op is the point of the closed form), and
-# BenchmarkForecastCurve/BenchmarkForecastCacheHit cover the batched
-# autoscaler query and the steady-state cache hit. The fast and oracle sets
-# need very different -benchtime budgets, so each round runs them as two
-# invocations; rounds are interleaved (three rounds, -count 2 each) and
-# benchfmt keeps the fastest run per name — the same drift-resistance
-# rationale as bench-pr6/pr7/pr9.
-PR10FAST = $(GO) test -run '^$$' -bench 'BenchmarkTransientClosedForm|BenchmarkForecast' \
-	-benchmem -benchtime 1000x -count 2 -timeout 30m -json ./internal/queuing/
-PR10ORACLE = $(GO) test -run '^$$' -bench 'BenchmarkTransientMatrix' \
-	-benchmem -benchtime 3x -count 2 -timeout 30m -json ./internal/queuing/
-define PR10RUN
-	rm -f $(1)
-	for i in 1 2 3; do \
-		$(PR10FAST) >> $(1) && \
-		$(PR10ORACLE) >> $(1) || exit 1; \
-	done
-endef
-bench-pr10:
-	$(call PR10RUN,BENCH_pr10.json)
-
-# Gate the transient engine against the committed snapshot: >20% ns/op or
-# allocs/op regression on any transient/forecast benchmark fails the target.
-bench-compare-pr10: BENCH_pr10_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr10.json -new BENCH_pr10_new.json \
-		-critical 'BenchmarkTransient|BenchmarkForecast' -allocs
-
-# Fresh measurement of the transient benchmarks for bench-compare-pr10 (not
-# committed; delete after comparing).
-BENCH_pr10_new.json:
-	$(call PR10RUN,$@)
-
-# Gate the multi-core hot paths against the committed matrix: >20% ns/op or
-# allocs/op regression on any (benchmark, procs) level fails the target.
-bench-compare-pr7: BENCH_pr7_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr7.json -new BENCH_pr7_new.json \
-		-critical 'BenchmarkScaleStep|BenchmarkServeAdmit|BenchmarkBatchApply|BenchmarkLoadgen' -allocs
-
-# Fresh measurement of the matrix for bench-compare-pr7 (not committed;
-# delete after comparing).
-BENCH_pr7_new.json:
-	$(call PR7RUN,$@)
+# Compare two `make bench` reports metric by metric against the bounds in
+# BENCHMARK.json: make bench-compare OLD=bench/out/a.json NEW=bench/out/b.json
+bench-compare:
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # Quick scale smoke (n = 10k only) — the CI guard that the scale paths keep
 # working without paying for the full ladder. Pinned to -cpu 1 so the smoke
-# stays single-core and comparable across runners; the multi-core story is
-# bench-pr7's job.
+# stays single-core and comparable across runners.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchmem -benchtime 1x -cpu 1 \
 		./internal/sim/ ./internal/core/
@@ -223,29 +61,6 @@ loadgen-smoke:
 # scrape happens while the service is serving.
 metrics-smoke:
 	$(GO) test -run TestMetricsScrapeDuringRun -v ./cmd/loadgen/
-
-# Diff two committed benchmark snapshots. Fails when a critical benchmark
-# (Fig7 MapCal or MappingTable, by default) regresses by more than 20%.
-# Pass DIFFFLAGS=-allocs to additionally flag >20% allocs/op growth on the
-# critical set (requires -benchmem snapshots, which all committed ones are).
-OLD ?= BENCH_baseline.json
-NEW ?= BENCH_pr2.json
-DIFFFLAGS ?=
-bench-compare:
-	$(GO) run ./cmd/benchdiff -old $(OLD) -new $(NEW) $(DIFFFLAGS)
-
-# Gate the admission path against its committed snapshot: >20% ns/op or
-# allocs/op regression on the Admit/Loadgen benchmarks fails the target.
-bench-compare-pr5: BENCH_pr5_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr5.json -new BENCH_pr5_new.json \
-		-critical 'BenchmarkServeAdmit|BenchmarkSerialAdmit|BenchmarkLoadgen' -allocs
-
-# Fresh measurement of the admission benchmarks for bench-compare-pr5 (not
-# committed; delete after comparing).
-BENCH_pr5_new.json:
-	SCALE_BENCH_FULL=1 $(GO) test -run '^$$' -bench 'Admit' -benchmem \
-		-benchtime 10000x -timeout 30m -json ./internal/placesvc/ > $@
-	$(GO) run ./cmd/loadgen -pms 1000 -clients 4 -ops 20000 -bench >> $@
 
 # Short fuzz smoke of the solver-agreement, transient-agreement, MapCal,
 # fault-plan, and admission-config contracts.

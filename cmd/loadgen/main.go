@@ -10,7 +10,7 @@
 //
 //	loadgen [-pms 1000] [-vms 4000] [-clients 4] [-ops 20000] [-batch 256]
 //	        [-maxwait 0] [-workers GOMAXPROCS] [-shards 1] [-seed 42]
-//	        [-rho 0.01] [-d 16] [-bench]
+//	        [-rho 0.01] [-d 16]
 //	        [-admission policy.json] [-rate 0] [-cv 3.5]
 //	        [-trace t.jsonl] [-metrics-addr 127.0.0.1:9090]
 //	        [-flight dumps.jsonl] [-flight-cap 4096]
@@ -33,17 +33,9 @@
 // pool splits into that many independent shards and each arrival routes by
 // power-of-two-choices over the shards' snapshot headroom. -workers sets each
 // commit's fan-out width (default GOMAXPROCS).
-//
-// -bench emits the result as a test2json benchmark line
-// (BenchmarkLoadgen/m=…/clients=…, gaining a /shards=N component only when
-// -shards > 1 so single-service snapshots keep their keys) so the snapshot
-// can be concatenated into a BENCH_*.json file and diffed with cmd/benchdiff;
-// the rejected fraction rides along as a `rejected-frac` custom metric
-// benchdiff gates on.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -100,7 +92,6 @@ type config struct {
 	seed     int64
 	rho      float64
 	d        int
-	bench    bool
 	admPath  string
 	rate     float64
 	arriveCV float64
@@ -120,7 +111,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.Int64Var(&cfg.seed, "seed", 42, "workload seed")
 	fs.Float64Var(&cfg.rho, "rho", 0.01, "CVR threshold ρ")
 	fs.IntVar(&cfg.d, "d", 16, "max VMs per PM (table dimension)")
-	fs.BoolVar(&cfg.bench, "bench", false, "emit a test2json benchmark line instead of the human summary")
 	fs.StringVar(&cfg.admPath, "admission", "", "admission-policy JSON config for the service (default: always admit)")
 	fs.Float64Var(&cfg.rate, "rate", 0, "mean arrival submissions/sec fleet-wide (0 = unpaced)")
 	fs.Float64Var(&cfg.arriveCV, "cv", 3.5, "coefficient of variation of the Gamma arrival gaps for -rate")
@@ -277,38 +267,6 @@ func run(args []string, stdout io.Writer) error {
 	if !math.IsNaN(admitQs[0]) { // NaN when the run had no arrivals
 		p50 = time.Duration(admitQs[0] * float64(time.Second))
 		p99 = time.Duration(admitQs[1] * float64(time.Second))
-	}
-
-	if cfg.bench {
-		// A test2json "output" event carrying a benchmark result line, so the
-		// run concatenates into the BENCH_*.json snapshots benchfmt parses.
-		// The rolling admit quantiles ride along as custom metrics, which
-		// benchfmt ignores and humans can still read off the snapshot. The
-		// GOMAXPROCS suffix follows the testing-package convention — omitted
-		// at 1, -P otherwise — so benchfmt keys each procs level of a matrix
-		// run separately and legacy single-core snapshots keep their keys.
-		suffix := ""
-		if p := runtime.GOMAXPROCS(0); p != 1 {
-			suffix = fmt.Sprintf("-%d", p)
-		}
-		// The shards component appears only in federated runs so legacy
-		// single-service snapshot keys stay comparable across PRs.
-		shardsPart := ""
-		if cfg.shards > 1 {
-			shardsPart = fmt.Sprintf("/shards=%d", cfg.shards)
-		}
-		line := fmt.Sprintf("BenchmarkLoadgen/m=%d/clients=%d%s%s \t%8d\t%12.1f ns/op\t%12d p50-admit-ns\t%12d p99-admit-ns\t%12.6f rejected-frac\n",
-			cfg.pms, cfg.clients, shardsPart, suffix, total.ops, float64(elapsed.Nanoseconds())/float64(total.ops),
-			p50.Nanoseconds(), p99.Nanoseconds(), rejectedFrac)
-		data, err := json.Marshal(struct {
-			Action string
-			Output string
-		}{"output", line})
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(stdout, string(data))
-		return err
 	}
 
 	st := svc.Stats()

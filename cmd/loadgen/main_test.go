@@ -1,34 +1,59 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
-	"runtime"
 )
 
+// The human summary is loadgen's only output: for the single service and the
+// federation alike it must carry a positive ops/sec figure and a rejected
+// fraction in [0,1] (TestRunSummaryAdmitLatency covers the admit quantiles).
 func TestRunSummary(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-pms", "100", "-vms", "400", "-clients", "4", "-ops", "2000", "-seed", "7"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"m=100 PMs", "2000 ops", "ops/sec", "commits"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q:\n%s", want, got)
+	for _, shards := range []string{"1", "4"} {
+		var out strings.Builder
+		err := run([]string{"-pms", "100", "-vms", "400", "-clients", "4", "-ops", "2000", "-seed", "7", "-shards", shards}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.String()
+		for _, want := range []string{"m=100 PMs", "shards=" + shards, "commits"} {
+			if !strings.Contains(got, want) {
+				t.Errorf("-shards %s summary missing %q:\n%s", shards, want, got)
+			}
+		}
+		var ops, arrivals int
+		var elapsed string
+		var rate, frac float64
+		if _, err := fmt.Sscanf(summaryLine(t, got, "ops/sec"), "%d ops in %s %f ops/sec", &ops, &elapsed, &rate); err != nil || ops != 2000 || rate <= 0 {
+			t.Errorf("-shards %s throughput line: ops %d, rate %v, err %v:\n%s", shards, ops, rate, err, got)
+		}
+		if _, err := fmt.Sscanf(summaryLine(t, got, "rejected-fraction"), "rejected-fraction %f over %d arrivals", &frac, &arrivals); err != nil || frac < 0 || frac > 1 || arrivals < 1 {
+			t.Errorf("-shards %s rejected-fraction line: frac %v over %d, err %v:\n%s", shards, frac, arrivals, err, got)
 		}
 	}
+}
+
+// summaryLine returns the trimmed summary line containing marker.
+func summaryLine(t *testing.T, summary, marker string) string {
+	t.Helper()
+	for _, l := range strings.Split(summary, "\n") {
+		if strings.Contains(l, marker) {
+			return strings.TrimSpace(l)
+		}
+	}
+	t.Fatalf("no %q line in summary:\n%s", marker, summary)
+	return ""
 }
 
 // Two runs with the same seed submit the same workload: the placed/rejected/
@@ -39,55 +64,14 @@ func TestRunDeterministicWorkload(t *testing.T) {
 		if err := run([]string{"-pms", "100", "-clients", "1", "-ops", "2000", "-seed", "11"}, &out); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range strings.Split(out.String(), "\n") {
-			if strings.Contains(l, "placed") {
-				return l
-			}
-		}
-		t.Fatal("no accounting line in summary")
-		return ""
+		return summaryLine(t, out.String(), "placed")
 	}
 	if a, b := line(), line(); a != b {
 		t.Errorf("same seed diverged:\n%s\n%s", a, b)
 	}
 }
 
-// -bench output must round-trip through benchfmt, the parser the benchdiff
-// gate uses on BENCH_*.json snapshots.
-func TestRunBenchOutputParses(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-pms", "100", "-vms", "400", "-clients", "2", "-ops", "1000", "-bench"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader(out.String())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bench line carries the GOMAXPROCS suffix the way the testing
-	// package does, so the parsed key depends on the runner's proc count.
-	key := "BenchmarkLoadgen/m=100/clients=2"
-	if p := runtime.GOMAXPROCS(0); p != 1 {
-		key = fmt.Sprintf("%s-%d", key, p)
-	}
-	r, ok := results[key]
-	if !ok {
-		t.Fatalf("%s missing from parsed results %v", key, results)
-	}
-	if r.Name != "BenchmarkLoadgen/m=100/clients=2" || r.Procs != runtime.GOMAXPROCS(0) {
-		t.Errorf("parsed (Name, Procs) = (%q, %d), want the run's GOMAXPROCS dimension", r.Name, r.Procs)
-	}
-	if r.Iters != 1000 || r.NsPerOp <= 0 {
-		t.Errorf("parsed %+v, want 1000 iters and positive ns/op", r)
-	}
-	if !r.HasRejectedFrac || r.RejectedFrac < 0 || r.RejectedFrac > 1 {
-		t.Errorf("rejected-frac = (%v, %v), want the custom metric parsed in [0,1]", r.RejectedFrac, r.HasRejectedFrac)
-	}
-}
-
-// A federated run (-shards > 1) completes, reports its shard count, and the
-// bench key gains the shards component — while -shards 1 keeps the legacy
-// key, so historical snapshots stay diffable.
+// A federated run (-shards > 1) completes and reports its shard count.
 func TestRunFederated(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-pms", "100", "-vms", "400", "-clients", "4", "-ops", "2000", "-shards", "4", "-seed", "7"}, &out)
@@ -96,22 +80,6 @@ func TestRunFederated(t *testing.T) {
 	}
 	if got := out.String(); !strings.Contains(got, "shards=4") {
 		t.Errorf("summary missing shards=4:\n%s", got)
-	}
-
-	out.Reset()
-	if err := run([]string{"-pms", "100", "-vms", "400", "-clients", "2", "-ops", "1000", "-shards", "4", "-bench"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	results, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader(out.String())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "BenchmarkLoadgen/m=100/clients=2/shards=4"
-	if p := runtime.GOMAXPROCS(0); p != 1 {
-		key = fmt.Sprintf("%s-%d", key, p)
-	}
-	if _, ok := results[key]; !ok {
-		t.Fatalf("%s missing from parsed results %v", key, results)
 	}
 }
 
@@ -123,13 +91,7 @@ func TestRunWorkersFlag(t *testing.T) {
 		if err := run([]string{"-pms", "100", "-clients", "1", "-ops", "1000", "-seed", "11", "-workers", workers}, &out); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range strings.Split(out.String(), "\n") {
-			if strings.Contains(l, "placed") {
-				return l
-			}
-		}
-		t.Fatal("no accounting line in summary")
-		return ""
+		return summaryLine(t, out.String(), "placed")
 	}
 	// The Workers = N determinism contract, observed end to end: worker
 	// counts never change the accounting.
@@ -184,29 +146,23 @@ func TestRunSummaryReportsGOMAXPROCS(t *testing.T) {
 }
 
 // TestRunSummaryAdmitLatency checks the rolling p50/p99 line lands in the
-// human summary.
+// human summary, with real durations, behind one service and behind four.
 func TestRunSummaryAdmitLatency(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-pms", "100", "-ops", "2000", "-seed", "7"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "admit latency p50 ") {
-		t.Errorf("summary missing admit latency quantiles:\n%s", out.String())
-	}
-}
-
-// TestRunBenchCarriesAdmitQuantiles: the -bench line appends the admit p50/p99
-// as custom metrics, which benchfmt must keep ignoring.
-func TestRunBenchCarriesAdmitQuantiles(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-pms", "100", "-ops", "1000", "-bench"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "p50-admit-ns") || !strings.Contains(out.String(), "p99-admit-ns") {
-		t.Errorf("bench line missing admit quantile metrics:\n%s", out.String())
-	}
-	if _, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader(out.String()))); err != nil {
-		t.Errorf("benchfmt rejects bench line with custom metrics: %v", err)
+	for _, shards := range []string{"1", "4"} {
+		var out strings.Builder
+		if err := run([]string{"-pms", "100", "-ops", "2000", "-seed", "7", "-shards", shards}, &out); err != nil {
+			t.Fatal(err)
+		}
+		var p50s, p99s string
+		line := strings.ReplaceAll(summaryLine(t, out.String(), "admit latency"), ",", "")
+		if _, err := fmt.Sscanf(line, "admit latency p50 %s p99 %s", &p50s, &p99s); err != nil {
+			t.Fatalf("-shards %s: cannot parse %q: %v", shards, line, err)
+		}
+		p50, err50 := time.ParseDuration(p50s)
+		p99, err99 := time.ParseDuration(p99s)
+		if err50 != nil || err99 != nil || p50 <= 0 || p99 < p50 {
+			t.Errorf("-shards %s: admit p50 %q p99 %q, want 0 < p50 ≤ p99", shards, p50s, p99s)
+		}
 	}
 }
 
@@ -299,12 +255,9 @@ func TestRunWithAdmissionPolicySheds(t *testing.T) {
 	}
 	var frac float64
 	var arrivals int
-	for _, l := range strings.Split(got, "\n") {
-		if strings.Contains(l, "rejected-fraction") {
-			if _, err := fmt.Sscanf(strings.TrimSpace(l), "rejected-fraction %f over %d arrivals", &frac, &arrivals); err != nil {
-				t.Fatalf("cannot parse %q: %v", l, err)
-			}
-		}
+	l := summaryLine(t, got, "rejected-fraction")
+	if _, err := fmt.Sscanf(l, "rejected-fraction %f over %d arrivals", &frac, &arrivals); err != nil {
+		t.Fatalf("cannot parse %q: %v", l, err)
 	}
 	if frac < 0.9 {
 		t.Errorf("rejected-fraction = %v under a starved bucket, want ≈ 1", frac)

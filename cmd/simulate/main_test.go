@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/queuing"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -135,13 +136,13 @@ func TestRunWritesDecodableTrace(t *testing.T) {
 }
 
 // TestMetricsServedForPipeline drives the same pipeline run() executes —
-// consolidate then simulate, instrumented through telemetry.Flags — and
+// consolidate then simulate, instrumented through obs.Flags — and
 // scrapes the live endpoint, checking the acceptance criterion: valid
 // Prometheus text with solve-duration histograms and placement/migration
 // counters. (run() closes its server on exit, so the scrape happens here
 // between the simulation and Close.)
 func TestMetricsServedForPipeline(t *testing.T) {
-	tf := telemetry.Flags{MetricsAddr: "127.0.0.1:0"}
+	tf := obs.Flags{MetricsAddr: "127.0.0.1:0"}
 	tracer, err := tf.Activate()
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +203,16 @@ func TestMetricsServedForPipeline(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
+	}
+
+	// obs.Flags mounts the flight recorder on the same endpoint.
+	resp, err = http.Get(strings.TrimSuffix(tf.MetricsURL(), "/metrics") + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/flight: %s", resp.Status)
 	}
 }
 

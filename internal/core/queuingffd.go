@@ -79,18 +79,12 @@ type QueuingFFD struct {
 	// reason. Nil disables instrumentation at the cost of one branch per
 	// admission test.
 	Tracer telemetry.Tracer
-	// Cache optionally memoises MapCal solves across Table calls. Periodic
-	// reconsolidation re-packs the fleet with identical (p_on, p_off, ρ, d),
-	// so every table build after the first is served from cache; hits are
-	// visible in the trace as SolveEvents with cache_hit = true.
-	Cache *queuing.SolveCache
 	// Tables optionally memoises whole mapping tables keyed by
 	// (d, p_on, p_off, ρ) with singleflight semantics, so concurrent
 	// refreshes of the same cohort solve once and independently constructed
-	// consumers share tables. When set it takes precedence over Cache for
-	// Table calls; cache hits emit no SolveEvents at all (the table was not
-	// solved). Online consolidators always use a table cache — Tables when
-	// set, queuing.SharedTables() otherwise.
+	// consumers share tables. Cache hits emit no SolveEvents at all (the table
+	// was not solved). Online consolidators always use a table cache — Tables
+	// when set, queuing.SharedTables() otherwise.
 	Tables *queuing.TableCache
 }
 
@@ -123,9 +117,6 @@ func (s QueuingFFD) Table(vms []cloud.VM) (*queuing.MappingTable, error) {
 		return nil, err
 	}
 	build := func() (*queuing.MappingTable, error) {
-		if s.Cache != nil {
-			return s.Cache.NewMappingTable(s.MaxVMsPerPM, pOn, pOff, s.Rho, s.Tracer)
-		}
 		return queuing.NewMappingTableTraced(s.MaxVMsPerPM, pOn, pOff, s.Rho, s.Tracer)
 	}
 	if s.Tables != nil {

@@ -5,10 +5,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file holds the concurrent builders for the solve-heavy precomputations
+// This file holds the concurrent builder for the solve-heavy precomputation
 // every experiment needs before it can run: the mapping table (one MapCal per
-// k ≤ d) and heterogeneous admission sweeps (one Poisson-binomial solve per
-// candidate fleet). Individual solves are independent, so they fan out over
+// k ≤ d). Individual solves are independent, so they fan out over
 // ParallelMap; results come back in index order, so a parallel build is
 // byte-identical to the sequential one regardless of worker count.
 
@@ -35,48 +34,4 @@ func ParallelMappingTable(d int, pOn, pOff, rho float64, workers int, tr telemet
 	blocks := make([]int, d+1)
 	copy(blocks[1:], ks)
 	return queuing.NewMappingTableFromBlocks(blocks, pOn, pOff, rho)
-}
-
-// ParallelMappingTableCached is ParallelMappingTable through a SolveCache:
-// workers race on the cache (it is goroutine-safe), so a re-pack with
-// parameters the controller has already seen costs d lookups and zero
-// solves. The cache may be shared with concurrent builds of other tables.
-func ParallelMappingTableCached(d int, pOn, pOff, rho float64, workers int, cache *queuing.SolveCache, tr telemetry.Tracer) (*queuing.MappingTable, error) {
-	if cache == nil {
-		return ParallelMappingTable(d, pOn, pOff, rho, workers, tr)
-	}
-	if d < 1 {
-		return queuing.NewMappingTable(d, pOn, pOff, rho) // reuse the error path
-	}
-	ks, err := ParallelMap(d, workers, func(i int) (int, error) {
-		res, err := cache.MapCal(i+1, pOn, pOff, rho, tr)
-		if err != nil {
-			return 0, err
-		}
-		return res.K, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	blocks := make([]int, d+1)
-	copy(blocks[1:], ks)
-	return queuing.NewMappingTableFromBlocks(blocks, pOn, pOff, rho)
-}
-
-// HeteroFleet is one candidate fleet for a heterogeneous admission sweep:
-// per-VM switch probabilities, index-aligned.
-type HeteroFleet struct {
-	POns  []float64
-	POffs []float64
-}
-
-// ParallelHeteroSweep runs MapCalHetero for every fleet across a worker
-// pool and returns the results in fleet order. This is the batch form of the
-// exact hetero admission test: a consolidation controller evaluating many
-// candidate placements per period issues the Poisson-binomial solves
-// concurrently instead of serially.
-func ParallelHeteroSweep(fleets []HeteroFleet, rho float64, workers int, tr telemetry.Tracer) ([]queuing.HeteroResult, error) {
-	return ParallelMap(len(fleets), workers, func(i int) (queuing.HeteroResult, error) {
-		return queuing.MapCalHeteroTraced(fleets[i].POns, fleets[i].POffs, rho, tr)
-	})
 }

@@ -9,8 +9,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Flags bundles the observability CLI flags shared by every cmd — the
-// superset of telemetry.Flags:
+// Flags bundles the observability CLI flags shared by every cmd:
 //
 //	-trace <file>         full JSONL event trace
 //	-metrics-addr <addr>  /metrics, /debug/vars, /debug/flight, /debug/pprof
@@ -22,7 +21,7 @@ import (
 // rejection storms dump to the -flight file, and the metrics endpoint gains
 // the live ops routes.
 //
-// Usage mirrors telemetry.Flags:
+// Usage:
 //
 //	var of obs.Flags
 //	of.Register(fs)

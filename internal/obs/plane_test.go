@@ -195,6 +195,66 @@ func TestFlagsFlightFile(t *testing.T) {
 	}
 }
 
+// TestFlagsLifecycle: -trace plus -metrics-addr serve a live scrape fed by
+// the returned tracer, Close is idempotent, and the JSONL file decodes back
+// to the emitted event.
+func TestFlagsLifecycle(t *testing.T) {
+	f := &Flags{
+		Trace:       filepath.Join(t.TempDir(), "out.jsonl"),
+		MetricsAddr: "127.0.0.1:0",
+	}
+	tracer, err := f.Activate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tracer.Enabled() {
+		t.Fatal("activated tracer is disabled")
+	}
+	if f.Registry() == nil {
+		t.Fatal("metrics registry missing")
+	}
+	tracer.Emit(telemetry.StepEvent{Interval: 0, Migrations: 2, PMsInUse: 5})
+
+	if body := httpGet(t, f.MetricsURL()); !strings.Contains(string(body), "sim_migrations_total 2") {
+		t.Errorf("live scrape missing migration counter:\n%s", body)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+
+	recs, err := telemetry.ReadTraceFile(f.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("trace has %d records, want 1", len(recs))
+	}
+	step, ok := recs[0].Event.(*telemetry.StepEvent)
+	if !ok || step.Migrations != 2 {
+		t.Errorf("decoded %#v", recs[0].Event)
+	}
+}
+
+func TestFlagsDisabled(t *testing.T) {
+	f := &Flags{}
+	tracer, err := f.Activate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tracer != telemetry.Nop {
+		t.Error("no flags set but tracer is not Nop")
+	}
+	if f.MetricsURL() != "" {
+		t.Error("MetricsURL nonempty with no server")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func nonEmptyLines(s string) []string {
 	var out []string
 	for _, l := range strings.Split(s, "\n") {

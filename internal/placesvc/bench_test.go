@@ -10,20 +10,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
-
-// benchObs returns the obs plane the admission benchmarks attach: nil by
-// default, a full plane when OBS_BENCH is set. Bench names stay identical so
-// benchdiff can diff the obs-off vs obs-on snapshots (make bench-pr6).
-func benchObs(b *testing.B) *obs.Plane {
-	if os.Getenv("OBS_BENCH") == "" {
-		return nil
-	}
-	p := obs.NewPlane(obs.Options{})
-	b.Cleanup(func() { p.Close() })
-	return p
-}
 
 // serveBenchM mirrors the core scale sweep: 1k PMs by default, the
 // 1k/10k/100k ladder under SCALE_BENCH_FULL=1.
@@ -82,7 +69,6 @@ func BenchmarkServeAdmit(b *testing.B) {
 					// measures the committer fanned out over that many
 					// workers, the deployment default.
 					Workers: runtime.GOMAXPROCS(0),
-					Obs:     benchObs(b),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -167,7 +153,6 @@ func BenchmarkBatchApply(b *testing.B) {
 				POn:      0.01,
 				POff:     0.09,
 				Workers:  workers,
-				Obs:      benchObs(b),
 			})
 			if err != nil {
 				b.Fatal(err)

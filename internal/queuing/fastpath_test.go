@@ -3,17 +3,13 @@ package queuing
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // The fast-path engine must be indistinguishable from the paper's stated
 // Gaussian solve. This file pins (a) the solver-agreement bound, (b) the
-// acceptance-boundary semantics of blocksFromStationary, (c) the MappingTable
-// monotonicity properties Algorithm 2 relies on, and (d) goroutine safety of
-// the SolveCache under parallel table builds.
+// acceptance-boundary semantics of blocksFromStationary, and (c) the
+// MappingTable monotonicity properties Algorithm 2 relies on.
 
 // TestSolverAgreement sweeps a (k, p_on, p_off, ρ) grid and demands that the
 // closed-form, Gaussian, and power-iteration solvers produce the same K and
@@ -164,65 +160,5 @@ func TestNewMappingTableFromBlocks(t *testing.T) {
 	}
 	if _, err := NewMappingTableFromBlocks([]int{1, 1}, 0.01, 0.09, 0.01); err == nil {
 		t.Error("accepted blocks[0] != 0")
-	}
-}
-
-// TestSolveCacheHammer hammers one SolveCache from many goroutines mixing
-// individual solves and whole table builds; run under -race it is the
-// locking regression test for the parallel-build path. Every result must
-// match a sequentially computed oracle.
-func TestSolveCacheHammer(t *testing.T) {
-	cache := NewSolveCache()
-	const workers = 16
-	const d = 24
-	want := make([]int, d+1)
-	for k := 1; k <= d; k++ {
-		res, err := MapCal(k, 0.01, 0.09, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[k] = res.K
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 8; rep++ {
-				if w%2 == 0 {
-					table, err := cache.NewMappingTable(d, 0.01, 0.09, 0.01, telemetry.Nop)
-					if err != nil {
-						errs <- err
-						return
-					}
-					for k := 1; k <= d; k++ {
-						if table.Blocks(k) != want[k] {
-							errs <- fmt.Errorf("worker %d: mapping(%d)=%d, want %d", w, k, table.Blocks(k), want[k])
-							return
-						}
-					}
-					continue
-				}
-				k := 1 + (w+rep)%d
-				res, err := cache.MapCal(k, 0.01, 0.09, 0.01, telemetry.Nop)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res.K != want[k] {
-					errs <- fmt.Errorf("worker %d: MapCal(%d).K=%d, want %d", w, k, res.K, want[k])
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if cache.Len() != d {
-		t.Errorf("cache holds %d entries, want %d", cache.Len(), d)
 	}
 }

@@ -25,10 +25,9 @@ type tableEntry struct {
 // TableCache memoises whole mapping tables keyed by (d, p_on, p_off, ρ) with
 // singleflight semantics: when several goroutines request the same cohort
 // concurrently, exactly one performs the d MapCal solves and the rest wait
-// for its result. This is the table-granularity complement of SolveCache
-// (which memoises individual MapCal results within one build): an admission
-// service refreshing its table, a controller re-packing the fleet, and an
-// experiment sweep constructing the same cohort all share one solve.
+// for its result: an admission service refreshing its table, a controller
+// re-packing the fleet, and an experiment sweep constructing the same cohort
+// all share one solve.
 //
 // Failed builds are not cached — the failing caller gets the error and the
 // next request retries. The cache is safe for concurrent use.

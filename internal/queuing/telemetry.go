@@ -1,7 +1,6 @@
 package queuing
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -17,30 +16,6 @@ func MapCalTraced(k int, pOn, pOff, rho float64, tr telemetry.Tracer) (Result, e
 	}
 	start := time.Now()
 	res, err := MapCal(k, pOn, pOff, rho)
-	if err != nil {
-		return res, err
-	}
-	tr.Emit(telemetry.SolveEvent{
-		Sources:  k,
-		Blocks:   res.K,
-		CVR:      res.CVR,
-		Rho:      rho,
-		Duration: time.Since(start),
-		Solver:   res.Solver,
-	})
-	return res, nil
-}
-
-// MapCalWithSolverTraced is MapCalWithSolver with the MapCalTraced
-// observability contract; the emitted event carries the solver label, which
-// the metrics bridge splits into fast-path vs fallback counters.
-func MapCalWithSolverTraced(k int, pOn, pOff, rho float64, solver Solver, tr telemetry.Tracer) (Result, error) {
-	tr = telemetry.OrNop(tr)
-	if !tr.Enabled() {
-		return MapCalWithSolver(k, pOn, pOff, rho, solver)
-	}
-	start := time.Now()
-	res, err := MapCalWithSolver(k, pOn, pOff, rho, solver)
 	if err != nil {
 		return res, err
 	}
@@ -92,78 +67,6 @@ func NewMappingTableTraced(d int, pOn, pOff, rho float64, tr telemetry.Tracer) (
 	t := &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: make([]int, d+1)}
 	for k := 1; k <= d; k++ {
 		res, err := MapCalTraced(k, pOn, pOff, rho, tr)
-		if err != nil {
-			return nil, err
-		}
-		t.blocks[k] = res.K
-	}
-	return t, nil
-}
-
-// solveKey identifies one MapCal instance; the solver is deterministic, so
-// equal keys always yield equal results.
-type solveKey struct {
-	k         int
-	pOn, pOff float64
-	rho       float64
-}
-
-// SolveCache memoises MapCal results across repeated table builds — the
-// controller re-packs the live fleet with identical parameters every period,
-// so every solve after the first is a hit. It is safe for concurrent use.
-type SolveCache struct {
-	mu sync.RWMutex
-	m  map[solveKey]Result
-}
-
-// NewSolveCache returns an empty cache.
-func NewSolveCache() *SolveCache {
-	return &SolveCache{m: make(map[solveKey]Result)}
-}
-
-// Len returns the number of cached solves.
-func (c *SolveCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// MapCal returns the cached result for (k, pOn, pOff, rho) or solves and
-// caches it. When the tracer is enabled a SolveEvent is emitted either way,
-// with CacheHit marking served-from-cache results.
-func (c *SolveCache) MapCal(k int, pOn, pOff, rho float64, tr telemetry.Tracer) (Result, error) {
-	tr = telemetry.OrNop(tr)
-	key := solveKey{k: k, pOn: pOn, pOff: pOff, rho: rho}
-	c.mu.RLock()
-	res, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
-		if tr.Enabled() {
-			tr.Emit(telemetry.SolveEvent{
-				Sources: k, Blocks: res.K, CVR: res.CVR, Rho: rho, CacheHit: true,
-				Solver: res.Solver,
-			})
-		}
-		return res, nil
-	}
-	res, err := MapCalTraced(k, pOn, pOff, rho, tr)
-	if err != nil {
-		return res, err
-	}
-	c.mu.Lock()
-	c.m[key] = res
-	c.mu.Unlock()
-	return res, nil
-}
-
-// NewMappingTable builds a mapping table through the cache.
-func (c *SolveCache) NewMappingTable(d int, pOn, pOff, rho float64, tr telemetry.Tracer) (*MappingTable, error) {
-	if d < 1 {
-		return NewMappingTable(d, pOn, pOff, rho) // reuse the error path
-	}
-	t := &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: make([]int, d+1)}
-	for k := 1; k <= d; k++ {
-		res, err := c.MapCal(k, pOn, pOff, rho, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func TestMapCalTracedMatchesUntraced(t *testing.T) {
 	if se.Duration <= 0 {
 		t.Error("solve event has no duration")
 	}
-	if se.CacheHit || se.Hetero {
+	if se.Hetero {
 		t.Errorf("unexpected flags in %+v", se)
 	}
 
@@ -127,108 +127,5 @@ func TestNewMappingTableTraced(t *testing.T) {
 	// Invalid d reuses the untraced error path.
 	if _, err := NewMappingTableTraced(0, 0.01, 0.09, 0.01, tr); err == nil {
 		t.Error("d = 0 accepted")
-	}
-}
-
-func TestSolveCache(t *testing.T) {
-	c := NewSolveCache()
-	tr := &collectTracer{}
-
-	first, err := c.MapCal(8, 0.01, 0.09, 0.01, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.MapCal(8, 0.01, 0.09, 0.01, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.K != second.K || first.CVR != second.CVR {
-		t.Errorf("cache returned different results: %+v vs %+v", first, second)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-	solves := tr.solves(t)
-	if len(solves) != 2 {
-		t.Fatalf("emitted %d events, want 2", len(solves))
-	}
-	if solves[0].CacheHit || !solves[1].CacheHit {
-		t.Errorf("cache-hit flags wrong: %+v", solves)
-	}
-
-	// Distinct parameters are distinct entries.
-	if _, err := c.MapCal(4, 0.01, 0.09, 0.01, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-	// Errors are not cached.
-	if _, err := c.MapCal(0, 0.01, 0.09, 0.01, nil); err == nil {
-		t.Error("invalid k accepted")
-	}
-	if c.Len() != 2 {
-		t.Errorf("error was cached: Len = %d", c.Len())
-	}
-}
-
-func TestSolveCacheMappingTable(t *testing.T) {
-	const d = 6
-	c := NewSolveCache()
-	want, err := NewMappingTable(d, 0.01, 0.09, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.NewMappingTable(d, 0.01, 0.09, 0.01, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= d; k++ {
-		if got.Blocks(k) != want.Blocks(k) {
-			t.Errorf("Blocks(%d) = %d, want %d", k, got.Blocks(k), want.Blocks(k))
-		}
-	}
-	if c.Len() != d {
-		t.Errorf("Len = %d, want %d", c.Len(), d)
-	}
-	// A rebuild with identical parameters is all hits — the controller's
-	// periodic re-pack pattern.
-	tr := &collectTracer{}
-	if _, err := c.NewMappingTable(d, 0.01, 0.09, 0.01, tr); err != nil {
-		t.Fatal(err)
-	}
-	for _, se := range tr.solves(t) {
-		if !se.CacheHit {
-			t.Errorf("rebuild re-solved k=%d", se.Sources)
-		}
-	}
-	if _, err := c.NewMappingTable(0, 0.01, 0.09, 0.01, nil); err == nil {
-		t.Error("d = 0 accepted")
-	}
-}
-
-func TestSolveCacheConcurrent(t *testing.T) {
-	c := NewSolveCache()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 1; k <= 8; k++ {
-				if _, err := c.MapCal(k, 0.01, 0.09, 0.01, nil); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if c.Len() != 8 {
-		t.Errorf("Len = %d, want 8", c.Len())
 	}
 }

@@ -8,23 +8,8 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// benchTracer returns the tracer the scale benchmarks step with: nil by
-// default, a full obs.Plane when OBS_BENCH is set. The bench names stay
-// identical either way so benchdiff can diff obs-off vs obs-on snapshots
-// (make bench-pr6).
-func benchTracer(b *testing.B) telemetry.Tracer {
-	if os.Getenv("OBS_BENCH") == "" {
-		return nil
-	}
-	p := obs.NewPlane(obs.Options{})
-	b.Cleanup(func() { p.Close() })
-	return p
-}
 
 // scaleN returns the fleet sizes for the scale benchmarks. The full sweep
 // (10k, 100k, 1M) runs when SCALE_BENCH_FULL is set; plain `go test -bench`
@@ -67,8 +52,7 @@ func buildScalePlacement(b *testing.B, n int) *cloud.Placement {
 // the hash-keyed demand source, at shard counts 1 and 8. Per-op is a single
 // step(), not a full run, so the numbers isolate the steady-state hot loop
 // from construction. On a single-core host the shard counts should tie
-// (sharding only buys wall clock on multi-core hardware); the committed
-// BENCH_pr4.json records what this container actually measured.
+// (sharding only buys wall clock on multi-core hardware).
 func BenchmarkScaleStep(b *testing.B) {
 	for _, n := range scaleN() {
 		placement := buildScalePlacement(b, n)
@@ -84,7 +68,6 @@ func BenchmarkScaleStep(b *testing.B) {
 					EnableMigration:   true,
 					MigrationOverhead: 0.1,
 					Shards:            shards,
-					Tracer:            benchTracer(b),
 				}
 				s, err := NewWithSource(placement, nil, cfg, fleet, rand.New(rand.NewSource(1)))
 				if err != nil {

@@ -8,7 +8,6 @@ type metricsTracer struct {
 
 	solveDuration *Timer
 	solves        *Counter
-	solveHits     *Counter
 	solveFast     *Counter
 	solveFallback *Counter
 
@@ -39,8 +38,8 @@ type metricsTracer struct {
 }
 
 // NewMetrics returns a tracer that updates reg from every event it sees:
-// mapcal_solve_duration_seconds (histogram), mapcal_solves_total and
-// mapcal_cache_hits_total, mapcal_fastpath_solves_total vs
+// mapcal_solve_duration_seconds (histogram), mapcal_solves_total,
+// mapcal_fastpath_solves_total vs
 // mapcal_fallback_solves_total (analytic solve paths vs matrix-backed
 // solvers), placement_decisions_total{decision=...}, the placement_index_*
 // counters (queries/probes/hits of the indexed first-fit), sim_steps_total /
@@ -53,7 +52,6 @@ func NewMetrics(reg *Registry) Tracer {
 		reg:           reg,
 		solveDuration: reg.Timer("mapcal_solve_duration_seconds"),
 		solves:        reg.Counter("mapcal_solves_total"),
-		solveHits:     reg.Counter("mapcal_cache_hits_total"),
 		solveFast:     reg.Counter("mapcal_fastpath_solves_total"),
 		solveFallback: reg.Counter("mapcal_fallback_solves_total"),
 		accepted:      reg.Counter(`placement_decisions_total{decision="accept"}`),
@@ -88,15 +86,11 @@ func (m *metricsTracer) Emit(e Event) {
 	switch ev := e.(type) {
 	case SolveEvent:
 		m.solves.Inc()
-		if ev.CacheHit {
-			m.solveHits.Inc()
+		m.solveDuration.Observe(ev.Duration)
+		if ev.FastPathSolver() {
+			m.solveFast.Inc()
 		} else {
-			m.solveDuration.Observe(ev.Duration)
-			if ev.FastPathSolver() {
-				m.solveFast.Inc()
-			} else {
-				m.solveFallback.Inc()
-			}
+			m.solveFallback.Inc()
 		}
 	case PlacementEvent:
 		if ev.Accepted {

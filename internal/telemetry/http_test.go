@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -64,65 +63,5 @@ func TestServeMetricsAndExpvar(t *testing.T) {
 func TestServeRejectsBadAddr(t *testing.T) {
 	if _, err := Serve("256.256.256.256:99999", NewRegistry()); err == nil {
 		t.Error("bad address accepted")
-	}
-}
-
-func TestFlagsLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	f := &Flags{
-		Trace:       filepath.Join(dir, "out.jsonl"),
-		MetricsAddr: "127.0.0.1:0",
-	}
-	tracer, err := f.Activate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracer.Enabled() {
-		t.Fatal("activated tracer is disabled")
-	}
-	if f.Registry() == nil {
-		t.Fatal("metrics registry missing")
-	}
-	tracer.Emit(StepEvent{Interval: 0, Migrations: 2, PMsInUse: 5})
-
-	body, _ := scrape(t, f.MetricsURL())
-	if !strings.Contains(body, "sim_migrations_total 2") {
-		t.Errorf("live scrape missing migration counter:\n%s", body)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-
-	// The JSONL file must decode back to the emitted event.
-	recs, err := ReadTraceFile(f.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("trace has %d records, want 1", len(recs))
-	}
-	step, ok := recs[0].Event.(*StepEvent)
-	if !ok || step.Migrations != 2 {
-		t.Errorf("decoded %#v", recs[0].Event)
-	}
-}
-
-func TestFlagsDisabled(t *testing.T) {
-	f := &Flags{}
-	tracer, err := f.Activate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tracer != Nop {
-		t.Error("no flags set but tracer is not Nop")
-	}
-	if f.MetricsURL() != "" {
-		t.Error("MetricsURL nonempty with no server")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -19,8 +19,7 @@ type Event interface {
 
 // SolveEvent records one MapCal stationary-distribution solve (Algorithm 1):
 // the population k, the resulting block count, and how long the solve took.
-// CacheHit marks results served from a SolveCache without re-solving. Solver
-// names the solve path ("closed_form", "poisson_binomial", "gaussian",
+// Solver names the solve path ("closed_form", "poisson_binomial", "gaussian",
 // "power"); the first two are the analytic fast paths, the rest the
 // matrix-backed fallbacks.
 type SolveEvent struct {
@@ -29,7 +28,6 @@ type SolveEvent struct {
 	CVR      float64       `json:"cvr"`
 	Rho      float64       `json:"rho"`
 	Duration time.Duration `json:"duration_ns"`
-	CacheHit bool          `json:"cache_hit,omitempty"`
 	Hetero   bool          `json:"hetero,omitempty"`
 	Solver   string        `json:"solver,omitempty"`
 }

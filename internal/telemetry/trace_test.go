@@ -15,7 +15,6 @@ import (
 func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		SolveEvent{Sources: 8, Blocks: 3, CVR: 0.004, Rho: 0.01, Duration: 120 * time.Microsecond},
-		SolveEvent{Sources: 8, Blocks: 3, CVR: 0.004, Rho: 0.01, CacheHit: true},
 		SolveEvent{Sources: 5, Blocks: 4, CVR: 0.002, Rho: 0.01, Duration: time.Millisecond, Hetero: true},
 		PlacementEvent{VMID: 3, PMID: 1, HostedK: 4, Blocks: 2, LHS: 88.5, RHS: 100, Accepted: true, Reason: ReasonFits},
 		PlacementEvent{VMID: 7, PMID: 1, HostedK: 17, Reason: ReasonVMCap},
@@ -172,7 +171,6 @@ func TestMetricsBridge(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewMetrics(reg)
 	tr.Emit(SolveEvent{Sources: 4, Blocks: 2, Duration: time.Millisecond})
-	tr.Emit(SolveEvent{Sources: 4, Blocks: 2, CacheHit: true})
 	tr.Emit(PlacementEvent{Accepted: true, Reason: ReasonFits})
 	tr.Emit(PlacementEvent{Reason: ReasonOverflow})
 	tr.Emit(PlacementEvent{Reason: ReasonVMCap})
@@ -181,8 +179,7 @@ func TestMetricsBridge(t *testing.T) {
 
 	s := reg.Snapshot()
 	checks := map[string]uint64{
-		"mapcal_solves_total":                          2,
-		"mapcal_cache_hits_total":                      1,
+		"mapcal_solves_total":                          1,
 		`placement_decisions_total{decision="accept"}`: 1,
 		`placement_decisions_total{decision="reject"}`: 2,
 		"sim_steps_total":                              1,
@@ -201,8 +198,7 @@ func TestMetricsBridge(t *testing.T) {
 	if got := s.Gauges["sim_pms_in_use"]; got != 7 {
 		t.Errorf("sim_pms_in_use = %v, want 7", got)
 	}
-	// Cache hits must not pollute the duration histogram.
 	if h := s.Histograms["mapcal_solve_duration_seconds"]; h.Count != 1 {
-		t.Errorf("solve duration count = %d, want 1 (cache hit should be excluded)", h.Count)
+		t.Errorf("solve duration count = %d, want 1", h.Count)
 	}
 }
