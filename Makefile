@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-compare bench-smoke bench-suite-smoke loadgen-smoke metrics-smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-compare bench-smoke bench-suite-smoke loadgen-smoke metrics-smoke cli-smoke fuzz cover clean
 
 all: build vet test
 
@@ -61,6 +61,12 @@ loadgen-smoke:
 # scrape happens while the service is serving.
 metrics-smoke:
 	$(GO) test -run TestMetricsScrapeDuringRun -v ./cmd/loadgen/
+
+# CLI smoke: all six cmd/ binaries on a tiny invocation each — tracegen and
+# burstsim run nowhere else — with cmd/simulate at 2k VMs, migration on and
+# the forecast hook, diffed across -shards 1 and 4 (cmd/smoke.sh).
+cli-smoke:
+	GO=$(GO) bash cmd/smoke.sh
 
 # Short fuzz smoke of the solver-agreement, transient-agreement, MapCal,
 # fault-plan, and admission-config contracts.

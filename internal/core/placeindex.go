@@ -44,19 +44,18 @@ type fitSpec struct {
 // placeIndex is a first-fit index over a PM pool: tree position = rank of the
 // PM in ascending-id order, tree value = the strategy's headroom score.
 //
-// Position lookup is SoA-flat for the common dense-id pool: posDense maps
-// PM id → tree position through one slice read; posMap is the fallback for
-// sparse or negative id spaces. Scores are pure functions of (placement, PM),
-// so rescoring work can fan out over contiguous position ranges — see
-// refreshRange / refreshAllParallel — and merge deterministically: the tree
-// state after a rescore depends only on the scores, never the worker count.
+// Position lookup goes through cloud.IDIndex (one slice read for the common
+// dense-id pool, a map for sparse id spaces). Scores are pure functions of
+// (placement, PM), so rescoring work can fan out over contiguous position
+// ranges — see refreshRange / refreshAllParallel — and merge
+// deterministically: the tree state after a rescore depends only on the
+// scores, never the worker count.
 type placeIndex struct {
-	pms      []cloud.PM // pool sorted ascending by id
-	posDense []int32    // PM id → position, -1 = absent (dense id space)
-	posMap   map[int]int
-	tree     *fitindex.MaxTree
-	spec     fitSpec
-	scratch  []float64 // reusable score buffer for wholesale rebuilds
+	pms     []cloud.PM     // pool sorted ascending by id
+	pos     *cloud.IDIndex // PM id → position
+	tree    *fitindex.MaxTree
+	spec    fitSpec
+	scratch []float64 // reusable score buffer for wholesale rebuilds
 
 	// Instrumentation: queries = first-fit lookups, probes = exact admission
 	// tests run on index candidates, hits = lookups resolved by their very
@@ -68,28 +67,15 @@ type placeIndex struct {
 func newPlaceIndex(p *cloud.Placement, pms []cloud.PM, spec fitSpec) *placeIndex {
 	ordered := append([]cloud.PM(nil), pms...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	ids := make([]int, len(ordered))
+	for i, pm := range ordered {
+		ids[i] = pm.ID
+	}
 	ix := &placeIndex{
 		pms:  ordered,
+		pos:  cloud.NewIDIndex(ids),
 		tree: fitindex.NewMaxTree(len(ordered)),
 		spec: spec,
-	}
-	// Dense direct-index lookup when the id space is not much larger than the
-	// pool (the generated fleets use ids 0..m-1); map fallback otherwise.
-	dense := len(ordered) > 0 && ordered[0].ID >= 0 &&
-		ordered[len(ordered)-1].ID < 4*len(ordered)
-	if dense {
-		ix.posDense = make([]int32, ordered[len(ordered)-1].ID+1)
-		for i := range ix.posDense {
-			ix.posDense[i] = -1
-		}
-		for i, pm := range ordered {
-			ix.posDense[pm.ID] = int32(i)
-		}
-	} else {
-		ix.posMap = make(map[int]int, len(ordered))
-		for i, pm := range ordered {
-			ix.posMap[pm.ID] = i
-		}
 	}
 	for i, pm := range ordered {
 		ix.tree.Set(i, spec.score(p, pm))
@@ -98,19 +84,7 @@ func newPlaceIndex(p *cloud.Placement, pms []cloud.PM, spec fitSpec) *placeIndex
 }
 
 // posOf returns the tree position of a PM id.
-func (ix *placeIndex) posOf(pmID int) (int, bool) {
-	if ix.posDense != nil {
-		if pmID < 0 || pmID >= len(ix.posDense) {
-			return 0, false
-		}
-		if i := ix.posDense[pmID]; i >= 0 {
-			return int(i), true
-		}
-		return 0, false
-	}
-	i, ok := ix.posMap[pmID]
-	return i, ok
-}
+func (ix *placeIndex) posOf(pmID int) (int, bool) { return ix.pos.Pos(pmID) }
 
 // refresh recomputes one PM's score after its host set changed.
 func (ix *placeIndex) refresh(p *cloud.Placement, pmID int) {

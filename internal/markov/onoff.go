@@ -7,8 +7,10 @@ import (
 )
 
 // State is the state of an ON-OFF chain: ON (spike, demand R_p = R_b + R_e)
-// or OFF (normal traffic, demand R_b).
-type State int
+// or OFF (normal traffic, demand R_b). One byte, because the demand sources
+// and the simulator keep a dense column of them with an entry per VM (int8,
+// not uint8: encoding/json would write a []uint8-kinded slice as base64).
+type State int8
 
 const (
 	// Off is the normal-traffic state of the workload chain.

@@ -31,6 +31,21 @@ func (m *CVRMeter) Observe(pmID int, violated bool) {
 	}
 }
 
+// Add records steps intervals for a PM at once, violations of them violated —
+// how the simulator hands over the dense per-PM counters it keeps during a
+// run. The result is the meter the same Observe calls would have built.
+func (m *CVRMeter) Add(pmID, steps, violations int) {
+	m.steps[pmID] += steps
+	if violations > 0 {
+		m.violations[pmID] += violations
+	}
+}
+
+// Counts returns a PM's raw observation and violation counts.
+func (m *CVRMeter) Counts(pmID int) (steps, violations int) {
+	return m.steps[pmID], m.violations[pmID]
+}
+
 // CVR returns a PM's violation ratio, or 0 if it was never observed.
 func (m *CVRMeter) CVR(pmID int) float64 {
 	steps := m.steps[pmID]
@@ -95,10 +110,7 @@ func (m *CVRMeter) Merge(other *CVRMeter) {
 		return
 	}
 	for id, n := range other.steps {
-		m.steps[id] += n
-	}
-	for id, n := range other.violations {
-		m.violations[id] += n
+		m.Add(id, n, other.violations[id])
 	}
 }
 

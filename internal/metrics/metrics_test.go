@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,27 @@ func TestCVRMeterOverThreshold(t *testing.T) {
 	}
 	if len(m.OverThreshold(0.9)) != 0 {
 		t.Error("nothing should exceed 0.9")
+	}
+}
+
+func TestCVRMeterAddEqualsObserve(t *testing.T) {
+	// Handing over counts in bulk must be indistinguishable from observing
+	// the same intervals one at a time — including a never-violated PM.
+	one, bulk := NewCVRMeter(), NewCVRMeter()
+	for i := 0; i < 40; i++ {
+		one.Observe(7, i%8 == 0)
+		one.Observe(2, false)
+	}
+	bulk.Add(7, 40, 5)
+	bulk.Add(2, 40, 0)
+	if !reflect.DeepEqual(one, bulk) {
+		t.Errorf("Add built %+v, Observe built %+v", bulk, one)
+	}
+	if steps, viol := bulk.Counts(7); steps != 40 || viol != 5 {
+		t.Errorf("Counts(7) = %d, %d, want 40, 5", steps, viol)
+	}
+	if steps, viol := bulk.Counts(99); steps != 0 || viol != 0 {
+		t.Errorf("Counts of an unobserved PM = %d, %d", steps, viol)
 	}
 }
 

@@ -119,11 +119,19 @@ type Config struct {
 	// Nil disables the hook; the Report is then bit-identical to earlier
 	// engines.
 	Forecast *ForecastConfig
-	// Shards splits the per-interval demand-sync and measurement passes over
-	// contiguous PM ranges, one worker per shard. Zero or one runs on the
-	// caller's goroutine. Every PM (and the VMs it hosts) is owned by exactly
-	// one shard and per-shard results merge in shard-index order, so a run is
-	// bit-identical for every shard count. Incompatible with RequestNoise,
+	// Shards splits two per-interval passes over contiguous PM ranges, one
+	// worker per shard: the demand-sync walk (compare each hosted VM's cached
+	// state with the dense new-state column, refold the PMs that changed) and
+	// the O(PMs) measurement pass (violation check, CVR counters, sliding
+	// window, trigger). Everything else in an interval is sequential — the
+	// source's Step, the one scan of its state map into the new-state column,
+	// tree refreshes, faults, migrations and the forecast — and since the
+	// dense-column engine that sequential part is most of a step, so expect
+	// little from this knob (ROADMAP "Make the parallel paths parallel" has
+	// the figures). Zero or one runs on the caller's goroutine. Every PM (and
+	// the VMs it hosts) is owned by exactly one shard and per-shard results
+	// merge in shard-index order, so a run is bit-identical for every shard
+	// count. Incompatible with RequestNoise,
 	// whose demand draws consume the shared RNG in placement order (and
 	// whose one-draw-per-VM-per-interval caching already diverges from
 	// pre-ledger runs — see the RequestNoise comment).

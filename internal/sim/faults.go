@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/cloud"
-	"repro/internal/markov"
 	"repro/internal/telemetry"
 )
 
@@ -83,8 +82,9 @@ func (s *Simulator) faultsEnabled() bool { return s.cfg.Faults != nil }
 func (s *Simulator) pmDown(pmID int) bool { return s.downPMs[pmID] }
 
 // computeOvershoot refreshes the per-VM demand multipliers for interval t and
-// emits one fault event per overshoot. It walks the ledger's dense registry
-// (attached VMs only) instead of materialising a sorted VM slice per step.
+// emits one fault event per overshoot, in ascending VM id whatever order the
+// registry is in. It walks the ledger's dense registry (attached VMs only)
+// instead of materialising a sorted VM slice per step.
 func (s *Simulator) computeOvershoot(t int) {
 	for id := range s.overshoot {
 		delete(s.overshoot, id)
@@ -96,15 +96,21 @@ func (s *Simulator) computeOvershoot(t int) {
 		if s.led.vmHome[vi] < 0 {
 			continue
 		}
-		f := s.cfg.Faults.DemandOvershoot(t, id)
-		if f > 1 {
+		if f := s.cfg.Faults.DemandOvershoot(t, id); f > 1 {
 			s.overshoot[id] = f
-			s.faults.Overshoots++
-			if s.tracer.Enabled() {
-				s.tracer.Emit(telemetry.FaultEvent{
-					Interval: t, Type: telemetry.FaultDemandOvershoot, VMID: id,
-				})
-			}
+		}
+	}
+	s.faults.Overshoots += len(s.overshoot)
+	if s.tracer.Enabled() {
+		ids := make([]int, 0, len(s.overshoot))
+		for id := range s.overshoot {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			s.tracer.Emit(telemetry.FaultEvent{
+				Interval: t, Type: telemetry.FaultDemandOvershoot, VMID: id,
+			})
 		}
 	}
 }
@@ -112,7 +118,7 @@ func (s *Simulator) computeOvershoot(t int) {
 // applyFaults advances crash/recovery state for every PM in the pool. A crash
 // transition evacuates the PM's VMs; a recovery closes the downtime interval
 // and returns the PM to the target pool.
-func (s *Simulator) applyFaults(t int, states map[int]markov.State) error {
+func (s *Simulator) applyFaults(t int) error {
 	if !s.faultsEnabled() {
 		return nil
 	}
@@ -129,7 +135,7 @@ func (s *Simulator) applyFaults(t int, states map[int]markov.State) error {
 					Interval: t, Type: telemetry.FaultPMCrash, PMID: pm.ID,
 				})
 			}
-			if err := s.evacuate(t, pm.ID, states); err != nil {
+			if err := s.evacuate(t, pm.ID); err != nil {
 				return err
 			}
 		case !down && s.downPMs[pm.ID]:
@@ -150,7 +156,7 @@ func (s *Simulator) applyFaults(t int, states map[int]markov.State) error {
 
 // evacuate displaces every VM on a crashed PM through the degradation ladder.
 // VMs that fit nowhere join the stranded queue.
-func (s *Simulator) evacuate(t, pmID int, states map[int]markov.State) error {
+func (s *Simulator) evacuate(t, pmID int) error {
 	vms := s.placement.VMsOn(pmID) // ordered by id
 	if len(vms) == 0 {
 		return nil
@@ -161,7 +167,7 @@ func (s *Simulator) evacuate(t, pmID int, states map[int]markov.State) error {
 			return err
 		}
 		s.faults.EvacuatedVMs++
-		wasDegraded, placed, err := s.placeEvacuee(t, vm, pmID, states)
+		wasDegraded, placed, err := s.placeEvacuee(t, vm, pmID)
 		if err != nil {
 			return err
 		}
@@ -188,8 +194,9 @@ func (s *Simulator) evacuate(t, pmID int, states map[int]markov.State) error {
 // policy admits it (powering on an idle PM if needed), then best-effort on the
 // least-loaded up PM with raw capacity — a degraded placement. The VM must
 // already be detached from the placement.
-func (s *Simulator) placeEvacuee(t int, vm cloud.VM, exclude int, states map[int]markov.State) (degraded, placed bool, err error) {
-	demand, err := s.vmDemand(vm, states[vm.ID])
+func (s *Simulator) placeEvacuee(t int, vm cloud.VM, exclude int) (degraded, placed bool, err error) {
+	st := s.led.stateOf(vm.ID)
+	demand, err := s.vmDemand(vm, st)
 	if err != nil {
 		return false, false, err
 	}
@@ -201,7 +208,7 @@ func (s *Simulator) placeEvacuee(t int, vm cloud.VM, exclude int, states map[int
 		}
 		degraded = true
 	}
-	if err := s.attachVM(vm, target, states[vm.ID], s.boostOf(vm.ID), demand); err != nil {
+	if err := s.attachVM(vm, target, st, s.boostOf(vm.ID), demand); err != nil {
 		return false, false, err
 	}
 	if poweredOn {
@@ -249,13 +256,13 @@ func (s *Simulator) bestEffortTarget(vm cloud.VM, demand float64) (target int, p
 
 // retryStranded re-runs the degradation ladder over the stranded queue,
 // accounting evacuation latency for VMs that finally find a host.
-func (s *Simulator) retryStranded(t int, states map[int]markov.State) error {
+func (s *Simulator) retryStranded(t int) error {
 	if len(s.stranded) == 0 {
 		return nil
 	}
 	keep := s.stranded[:0]
 	for _, sv := range s.stranded {
-		_, placed, err := s.placeEvacuee(t, sv.vm, -1, states)
+		_, placed, err := s.placeEvacuee(t, sv.vm, -1)
 		if err != nil {
 			return err
 		}
@@ -303,7 +310,7 @@ func (s *Simulator) abandonMove(t, vmID, fromPM, attempt int) {
 // processRetries executes the retries due at interval t and returns the
 // migration events of those that succeeded. A retry whose VM has meanwhile
 // departed, moved, or been evacuated is dropped silently.
-func (s *Simulator) processRetries(t int, states map[int]markov.State) ([]MigrationEvent, error) {
+func (s *Simulator) processRetries(t int) ([]MigrationEvent, error) {
 	if len(s.retries) == 0 {
 		return nil, nil
 	}
@@ -334,7 +341,8 @@ func (s *Simulator) processRetries(t int, states map[int]markov.State) ([]Migrat
 				PMID: pm.fromPM, VMID: pm.vm.ID, Attempt: pm.attempt,
 			})
 		}
-		demand, err := s.vmDemand(pm.vm, states[pm.vm.ID])
+		st := s.led.stateOf(pm.vm.ID)
+		demand, err := s.vmDemand(pm.vm, st)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +364,7 @@ func (s *Simulator) processRetries(t int, states map[int]markov.State) ([]Migrat
 		if _, err := s.detachVM(pm.vm.ID); err != nil {
 			return nil, err
 		}
-		if err := s.attachVM(pm.vm, target, states[pm.vm.ID], s.boostOf(pm.vm.ID), demand); err != nil {
+		if err := s.attachVM(pm.vm, target, st, s.boostOf(pm.vm.ID), demand); err != nil {
 			return nil, err
 		}
 		s.chargeMigration(t, pm.fromPM, target, pm.vm.ID, demand)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/markov"
 	"repro/internal/queuing"
 )
 
@@ -86,38 +85,60 @@ type ForecastDigest struct {
 	Final *ForecastReport `json:"final,omitempty"`
 }
 
-// forecastStep produces the interval's ForecastReport from the settled
-// ledger. It reads hosted sets, VM states, and the mapping table only;
-// occupancy solves go through the forecast cache, so steady-state fleets
-// re-solve nothing after the first pass.
-func (s *Simulator) forecastStep(t int) error {
-	fc := s.cfg.Forecast
-	l := s.led
-	rep := ForecastReport{Interval: t, Horizon: fc.Horizon}
-	sum := 0.0
-	for pos := range l.pms {
-		if l.down[pos] {
-			continue
-		}
-		hosted := l.hosted[pos]
-		k := len(hosted)
-		if k == 0 {
-			continue
-		}
-		busy := 0
-		for _, vi := range hosted {
-			if l.vmState[vi] == markov.On {
-				busy++
-			}
-		}
+// fcMemoEntry is one PM shape's forecast within a step; at is the forecast
+// pass (fcCount+1) that filled it, so the memo needs no clearing.
+type fcMemoEntry struct {
+	at        int
+	blocks    int
+	violation float64
+}
+
+// forecastShape answers one PM shape — k hosted VMs, busy of them ON — for
+// the current forecast pass. Powered-on PMs share a few dozen shapes, so the
+// forecast cache is asked once per distinct shape per pass and every other PM
+// reads the memo (indexed triangularly: busy ≤ k).
+func (s *Simulator) forecastShape(k, busy int) (blocks int, violation float64, err error) {
+	idx := k*(k+1)/2 + busy
+	if idx >= len(s.fcMemo) {
+		s.fcMemo = append(s.fcMemo, make([]fcMemoEntry, idx+1-len(s.fcMemo))...)
+	}
+	e := &s.fcMemo[idx]
+	if e.at != s.fcCount+1 {
 		// The reservation is table-capped: a PM hosting more than MaxVMs
 		// (possible only under degraded fault placements) reserves at the cap.
 		kt := k
 		if max := s.table.MaxVMs(); kt > max {
 			kt = max
 		}
+		fc := s.cfg.Forecast
 		blocks := s.table.Blocks(kt)
 		v, err := fc.Cache.ViolationAt(k, busy, s.table.POn(), s.table.POff(), fc.Horizon, blocks)
+		if err != nil {
+			return 0, 0, err
+		}
+		*e = fcMemoEntry{at: s.fcCount + 1, blocks: blocks, violation: v}
+	}
+	return e.blocks, e.violation, nil
+}
+
+// forecastStep produces the interval's ForecastReport from the settled
+// ledger. It reads hosted-set sizes, the ledger's per-PM ON counts, and the
+// mapping table only; occupancy solves go through the forecast cache, so
+// steady-state fleets re-solve nothing after the first pass.
+func (s *Simulator) forecastStep(t int) error {
+	fc := s.cfg.Forecast
+	l := s.led
+	rep := ForecastReport{Interval: t, Horizon: fc.Horizon}
+	// Down PMs host nothing, so the used-PM count is the list's final size.
+	rep.PMs = make([]PMForecast, 0, s.placement.NumUsedPMs())
+	sum := 0.0
+	for pos := range l.pms {
+		k := len(l.hosted[pos])
+		if k == 0 || l.down[pos] {
+			continue
+		}
+		busy := int(l.pmOn[pos])
+		blocks, v, err := s.forecastShape(k, busy)
 		if err != nil {
 			return fmt.Errorf("sim: forecast for PM %d: %w", l.pms[pos].ID, err)
 		}

@@ -14,7 +14,10 @@ import (
 //
 // PMs are addressed by *position* — their rank in the id-sorted pool — and
 // VMs by a dense registration index, so the per-interval hot path touches
-// slices, not maps. Each PM's folded load is recomputed with the exact
+// slices, not maps: the source's state map is scanned once into a dense
+// column (loadStates), per-PM ON counts and measurement counters are kept
+// incrementally, and per-VM SLA counts derive from their host's counters
+// (vmCounts). Each PM's folded load is recomputed with the exact
 // overhead-first, id-ordered summation the old pmLoad used, but only when one
 // of its inputs changed (a VM's state flipped, a migration moved a VM, or an
 // overhead charge landed); untouched PMs keep last interval's bit-identical
@@ -36,7 +39,14 @@ type ledger struct {
 	ovhDirty     []int       // positions that may hold nonzero overhead
 	ovhNextDirty []int       // positions that may hold nonzero overheadNext
 	hosted       [][]int32   // VM indices per PM, sorted by VM id
+	pmOn         []int32     // hosted VMs whose cached state is ON
 	down         []bool      // crashed PMs (mirrors Simulator.downPMs)
+
+	// Cumulative measurement counters: intervals the PM was measured (up and
+	// hosting) and intervals it was found violated. They are the run's CVR
+	// meter, and — through the per-VM bases below — its per-VM SLA accounting.
+	pmObserved  []int32
+	pmViolation []int32
 
 	// Per-PM violation windows, flattened structure-of-arrays style: PM pos p
 	// owns winBuf[p*winSize : (p+1)*winSize] as a ring buffer of the last
@@ -54,18 +64,27 @@ type ledger struct {
 	idleTree *fitindex.MaxTree // capacity of up, idle PMs; -Inf otherwise
 	scratch  fitindex.AscendScratch
 
-	// VM side, indexed by dense registration order.
+	// VM side, indexed by dense registration order. seed registers the
+	// initial fleet host by host, so the position-ordered sync walk reads
+	// these columns front to back.
 	vmIDs   []int
+	vmIdx   *cloud.IDIndex // VM id → registration index
 	vmSpec  []cloud.VM
 	vmState []markov.State
-	vmDem   []float64 // demand currently folded into the host's eff
-	vmBoost []float64 // overshoot multiplier baked into vmDem
-	vmHome  []int32   // host position, -1 when detached
-	vmPos   map[int]int
+	vmNext  []markov.State // this interval's source states (see loadStates)
+	vmDem   []float64      // demand currently folded into the host's eff
+	vmBoost []float64      // overshoot multiplier baked into vmDem
+	vmHome  []int32        // host position, -1 when detached
 
-	// Per-VM SLA accounting (dense counterparts of the old maps).
-	vmObserved  []int
-	vmViolation []int
+	// Per-VM SLA accounting. A violated PM degrades every tenant on it, so a
+	// VM is observed (violated) exactly when its host is: an attached VM's
+	// counts are its host's cumulative counters minus their values at attach
+	// (the bases), and displace folds that difference into the VM's own
+	// totals. Measurement therefore never touches per-VM state.
+	vmObserved  []int32 // totals over completed stays
+	vmViolation []int32
+	vmObsBase   []int32 // host counters at attach
+	vmViolBase  []int32
 }
 
 // newLedger builds an empty ledger over the id-sorted PM pool, with
@@ -84,7 +103,10 @@ func newLedger(pms []cloud.PM, window int) *ledger {
 		overhead:     make([]float64, m),
 		overheadNext: make([]float64, m),
 		hosted:       make([][]int32, m),
+		pmOn:         make([]int32, m),
 		down:         make([]bool, m),
+		pmObserved:   make([]int32, m),
+		pmViolation:  make([]int32, m),
 		winSize:      window,
 		winBuf:       make([]bool, m*window),
 		winNext:      make([]int32, m),
@@ -92,7 +114,7 @@ func newLedger(pms []cloud.PM, window int) *ledger {
 		winViol:      make([]int32, m),
 		onTree:       fitindex.NewMinTree(m),
 		idleTree:     fitindex.NewMaxTree(m),
-		vmPos:        make(map[int]int),
+		vmIdx:        cloud.NewIDIndex(nil),
 	}
 	for i, pm := range pms {
 		l.pmID32[i] = int32(pm.ID)
@@ -149,23 +171,78 @@ func (l *ledger) resetWindows() {
 	clear(l.winViol)
 }
 
-// vmIndex returns the VM's dense index, registering it on first sight with
-// the given state (and that state's exact demand level).
+// vmIndex returns the VM's dense index, registering it — detached, in the
+// given state at that state's exact demand level — on first sight.
 func (l *ledger) vmIndex(vm cloud.VM, st markov.State) int {
-	if vi, ok := l.vmPos[vm.ID]; ok {
+	if vi, ok := l.vmIdx.Pos(vm.ID); ok {
 		return vi
 	}
 	vi := len(l.vmIDs)
-	l.vmPos[vm.ID] = vi
+	l.vmIdx.Add(vm.ID, vi)
 	l.vmIDs = append(l.vmIDs, vm.ID)
 	l.vmSpec = append(l.vmSpec, vm)
 	l.vmState = append(l.vmState, st)
+	l.vmNext = append(l.vmNext, st)
 	l.vmDem = append(l.vmDem, vm.Demand(st))
 	l.vmBoost = append(l.vmBoost, 1)
 	l.vmHome = append(l.vmHome, -1)
 	l.vmObserved = append(l.vmObserved, 0)
 	l.vmViolation = append(l.vmViolation, 0)
+	l.vmObsBase = append(l.vmObsBase, 0)
+	l.vmViolBase = append(l.vmViolBase, 0)
 	return vi
+}
+
+// seed attaches the placement's whole fleet host by host in position order
+// (each host's VMs by ascending id), each VM at its current source state and
+// that state's exact demand. Registering in that order makes hosted[pos] a
+// run of consecutive indices, so the sync walk reads the VM columns front to
+// back; the id index is rebuilt once the id space is known, to size its
+// dense range.
+func (l *ledger) seed(p *cloud.Placement, states map[int]markov.State) {
+	for _, pm := range l.pms {
+		for _, vm := range p.VMsOn(pm.ID) {
+			st := states[vm.ID]
+			l.place(vm, pm.ID, st, 1, vm.Demand(st))
+		}
+	}
+	l.vmIdx = cloud.NewIDIndex(l.vmIDs)
+}
+
+// loadStates refills the dense new-state column from the source's map in one
+// scan: an id absent from the map reads Off (as a map probe's zero value
+// did), and ids the ledger never registered are ignored. Only non-Off entries
+// need the id lookup — the column was just cleared to Off.
+func (l *ledger) loadStates(states map[int]markov.State) {
+	clear(l.vmNext)
+	for id, st := range states {
+		if st == markov.Off {
+			continue
+		}
+		if vi, ok := l.vmIdx.Pos(id); ok {
+			l.vmNext[vi] = st
+		}
+	}
+}
+
+// indexOf returns the dense index of a registered VM.
+func (l *ledger) indexOf(vmID int) int {
+	vi, _ := l.vmIdx.Pos(vmID)
+	return vi
+}
+
+// stateOf returns the VM's source state this interval.
+func (l *ledger) stateOf(vmID int) markov.State { return l.vmNext[l.indexOf(vmID)] }
+
+// vmCounts returns the intervals the VM was observed on a measured host and
+// the intervals that host was violated, over the whole run so far.
+func (l *ledger) vmCounts(vi int) (observed, violated int32) {
+	observed, violated = l.vmObserved[vi], l.vmViolation[vi]
+	if pos := l.vmHome[vi]; pos >= 0 {
+		observed += l.pmObserved[pos] - l.vmObsBase[vi]
+		violated += l.pmViolation[pos] - l.vmViolBase[vi]
+	}
+	return observed, violated
 }
 
 // place attaches a VM to a PM, folding the given current demand into the
@@ -189,18 +266,23 @@ func (l *ledger) place(vm cloud.VM, pmID int, st markov.State, boost, demand flo
 	ids[i] = int32(vi)
 	l.hosted[pos] = ids
 	l.vmHome[vi] = int32(pos)
+	l.pmOn[pos] += int32(st)
+	l.vmObsBase[vi], l.vmViolBase[vi] = l.pmObserved[pos], l.pmViolation[pos]
 	l.recompute(pos)
 }
 
-// displace detaches a VM from its host.
+// displace detaches a VM from its host, folding the stay's observations into
+// the VM's totals.
 func (l *ledger) displace(vmID int) {
-	vi := l.vmPos[vmID]
+	vi := l.indexOf(vmID)
 	pos := int(l.vmHome[vi])
 	ids := l.hosted[pos]
 	i := sort.Search(len(ids), func(i int) bool { return l.vmIDs[ids[i]] >= vmID })
 	copy(ids[i:], ids[i+1:])
 	l.hosted[pos] = ids[:len(ids)-1]
+	l.vmObserved[vi], l.vmViolation[vi] = l.vmCounts(vi)
 	l.vmHome[vi] = -1
+	l.pmOn[pos] -= int32(l.vmState[vi])
 	l.recompute(pos)
 }
 

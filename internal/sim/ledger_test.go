@@ -16,7 +16,7 @@ func TestPlaceRecachesWorkloadState(t *testing.T) {
 	l := newLedger([]cloud.PM{{ID: 0, Capacity: 10}}, 4)
 	vm := cloud.VM{ID: 7, POn: 0.1, POff: 0.1, Rb: 1, Re: 2}
 	l.place(vm, 0, markov.On, 1.5, vm.Demand(markov.On)*1.5)
-	vi := l.vmPos[vm.ID]
+	vi := l.indexOf(vm.ID)
 	if l.vmState[vi] != markov.On || l.vmBoost[vi] != 1.5 {
 		t.Fatalf("cached (state, boost) = (%v, %v), want (On, 1.5)", l.vmState[vi], l.vmBoost[vi])
 	}
@@ -73,7 +73,7 @@ func TestReattachDriftedVMResyncsDemand(t *testing.T) {
 	states[vmID] = markov.On // flips back after re-placement
 	sync()
 
-	vi := s.led.vmPos[vmID]
+	vi := s.led.indexOf(vmID)
 	if got, want := s.led.vmDem[vi], vm.Demand(markov.On); got != want {
 		t.Errorf("folded demand = %v, want demand(On) = %v", got, want)
 	}

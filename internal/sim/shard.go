@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/markov"
-	"repro/internal/metrics"
 )
 
 // The sharded stepping engine partitions the PM pool into contiguous
@@ -26,9 +25,9 @@ type shardScratch struct {
 	triggered  []int // PM ids whose windowed CVR breached ρ
 	violations int
 
-	// Occupancy tallies for the StepEvent probe fields, filled by the sync
-	// pass only when the run is traced. Pure measurement: they never feed
-	// back into simulation state.
+	// Occupancy tallies for the StepEvent probe fields; vms and on are filled
+	// by the sync pass only when the run is traced. Pure measurement: they
+	// never feed back into simulation state.
 	vms, on, offOn, onOff int
 	elapsedNs             int64 // this shard's measurement-pass wall time
 }
@@ -97,21 +96,24 @@ func (s *Simulator) releaseScratches() {
 }
 
 // syncLoads refreshes every hosted VM's cached demand against the new
-// workload states and refolds the PMs whose inputs changed. The per-shard
-// passes touch only slices; the tree refresh for dirty positions happens
-// sequentially afterwards because shards share interior tree nodes.
+// workload states and refolds the PMs whose inputs changed. The source's map
+// is scanned once, sequentially, into the ledger's dense new-state column;
+// the per-shard passes then touch only slices, and the tree refresh for dirty
+// positions happens sequentially afterwards because shards share interior
+// tree nodes.
 func (s *Simulator) syncLoads(states map[int]markov.State, scr []*shardScratch) error {
+	s.led.loadStates(states)
 	count := s.tracer.Enabled()
 	if s.cfg.RequestNoise {
 		// Noise draws from the shared RNG in placement order; config
 		// validation pins noisy runs to a single shard.
-		if err := s.syncRange(states, s.bounds[0], s.bounds[1], scr[0], count); err != nil {
+		if err := s.syncRange(s.bounds[0], s.bounds[1], scr[0], count); err != nil {
 			return err
 		}
 	} else {
 		s.runSharded(func(shard, lo, hi int) {
 			// syncRange only errors on noisy demand draws, excluded above.
-			_ = s.syncRange(states, lo, hi, scr[shard], count)
+			_ = s.syncRange(lo, hi, scr[shard], count)
 		})
 	}
 	for _, sc := range scr {
@@ -122,11 +124,12 @@ func (s *Simulator) syncLoads(states map[int]markov.State, scr []*shardScratch) 
 	return nil
 }
 
-// syncRange is one shard's demand-sync pass over [lo, hi). With count set
-// (traced runs) it also tallies fleet occupancy and ON-OFF transitions into
-// the scratch — riding the existing hosted-VM walk so obs-on avoids a second
-// O(VMs) pass and obs-off pays one predictable branch per VM.
-func (s *Simulator) syncRange(states map[int]markov.State, lo, hi int, sc *shardScratch, count bool) error {
+// syncRange is one shard's demand-sync pass over [lo, hi): each hosted VM's
+// cached state against the ledger's new-state column, keeping the PM's ON
+// count in step. With count set (traced runs) it also tallies fleet occupancy
+// into the scratch — riding the existing hosted-VM walk so obs-on avoids a
+// second O(VMs) pass and obs-off pays one predictable branch per VM.
+func (s *Simulator) syncRange(lo, hi int, sc *shardScratch, count bool) error {
 	l := s.led
 	noise := s.cfg.RequestNoise
 	faults := s.faultsEnabled()
@@ -140,11 +143,10 @@ func (s *Simulator) syncRange(states map[int]markov.State, lo, hi int, sc *shard
 		}
 		changed := false
 		for _, vi := range hosted {
-			id := l.vmIDs[vi]
-			st := states[id]
+			st := l.vmNext[vi]
 			boost := 1.0
 			if faults {
-				if f, ok := s.overshoot[id]; ok {
+				if f, ok := s.overshoot[l.vmIDs[vi]]; ok {
 					boost = f
 				}
 			}
@@ -158,10 +160,12 @@ func (s *Simulator) syncRange(states map[int]markov.State, lo, hi int, sc *shard
 			if !noise && st == l.vmState[vi] && boost == l.vmBoost[vi] {
 				continue
 			}
-			if count && st != l.vmState[vi] {
+			if st != l.vmState[vi] {
 				if st == markov.On {
+					l.pmOn[pos]++
 					sc.offOn++
 				} else {
+					l.pmOn[pos]--
 					sc.onOff++
 				}
 			}
@@ -182,33 +186,25 @@ func (s *Simulator) syncRange(states map[int]markov.State, lo, hi int, sc *shard
 	return nil
 }
 
-// measureRange is one shard's measurement pass: violation check, CVR meter,
-// per-VM SLA accounting, sliding window, and migration triggering for every
-// up, hosting PM in [lo, hi). The meter is the shard's own; report merges
-// the meters in shard order.
-func (s *Simulator) measureRange(lo, hi int, meter *metrics.CVRMeter, sc *shardScratch) {
+// measureRange is one shard's measurement pass: violation check, the PM's
+// cumulative CVR counters (which carry the per-VM SLA accounting too — see
+// ledger.vmCounts), sliding window, and migration triggering for every up,
+// hosting PM in [lo, hi).
+func (s *Simulator) measureRange(lo, hi int, sc *shardScratch) {
 	l := s.led
 	for pos := lo; pos < hi; pos++ {
 		if len(l.hosted[pos]) == 0 || l.down[pos] {
 			continue
 		}
-		pmID := int(l.pmID32[pos])
 		violated := l.eff[pos] > l.pmCap[pos]+1e-9
+		l.pmObserved[pos]++
 		if violated {
+			l.pmViolation[pos]++
 			sc.violations++
-		}
-		meter.Observe(pmID, violated)
-		// A violated PM degrades every tenant on it; attribute the interval
-		// to each hosted VM for the per-VM SLA view.
-		for _, vi := range l.hosted[pos] {
-			l.vmObserved[vi]++
-			if violated {
-				l.vmViolation[vi]++
-			}
 		}
 		l.winObserve(pos, violated)
 		if s.cfg.EnableMigration && l.winCVR(pos) > s.cfg.Rho {
-			sc.triggered = append(sc.triggered, pmID)
+			sc.triggered = append(sc.triggered, int(l.pmID32[pos]))
 		}
 	}
 }

@@ -29,11 +29,19 @@ type MigrationEvent struct {
 // DemandSource supplies each VM's workload state per interval. The default
 // is the ON-OFF fleet model (workload.FleetStates); workload.TraceReplay
 // substitutes recorded traces for trace-driven evaluation.
+//
+// The map-valued signature is a constraint, not a choice: the benchmark's
+// timedSource (bench/workloads.go) implements this interface and hides the
+// concrete source, so the simulator cannot reach a source's dense column.
+// Instead it scans the map once per interval into the ledger's own dense
+// column (ledger.loadStates).
 type DemandSource interface {
 	// Step advances every VM one interval.
 	Step(rng *rand.Rand)
 	// States returns the live state map (VM id → state). The simulator
-	// treats it as read-only.
+	// treats it as read-only and ranges over it once per interval: an id
+	// absent from the map reads Off, and ids the simulator does not know
+	// are ignored.
 	States() map[int]markov.State
 }
 
@@ -50,10 +58,9 @@ type Simulator struct {
 	tracer    telemetry.Tracer
 
 	led    *ledger
-	bounds []int               // shard → first owned PM position (see shard.go)
-	meters []*metrics.CVRMeter // one CVR meter per shard, merged at report
-	scr    []*shardScratch     // per-step scratch leases from scratchPool
-	trig   []int               // reusable triggered-PM buffer
+	bounds []int           // shard → first owned PM position (see shard.go)
+	scr    []*shardScratch // per-step scratch leases from scratchPool
+	trig   []int           // reusable triggered-PM buffer
 
 	migrationsPerStep *metrics.TimeSeries
 	pmsInUse          *metrics.TimeSeries
@@ -67,6 +74,7 @@ type Simulator struct {
 	fcSum   float64
 	fcMax   float64
 	fcLast  *ForecastReport
+	fcMemo  []fcMemoEntry // per-step (k, busy) → violation memo
 
 	// Fault-injection state (see faults.go; inert when cfg.Faults is nil).
 	downPMs     map[int]bool    // PMs currently crashed (ledger.down mirror)
@@ -134,17 +142,7 @@ func NewWithSource(placement *cloud.Placement, table *queuing.MappingTable, cfg 
 		pendingFrom:       make(map[int]int),
 	}
 	s.bounds = shardBounds(len(s.led.pms), cfg.Shards)
-	s.meters = make([]*metrics.CVRMeter, s.shardCount())
-	for i := range s.meters {
-		s.meters[i] = metrics.NewCVRMeter()
-	}
-	// Seed the ledger from the cloned placement: register every VM at its
-	// current state and fold its exact demand into its host.
-	for _, vm := range clone.VMs() {
-		st := states[vm.ID]
-		pmID, _ := clone.PMOf(vm.ID)
-		s.led.place(vm, pmID, st, 1, vm.Demand(st))
-	}
+	s.led.seed(clone, states)
 	return s, nil
 }
 
@@ -229,7 +227,7 @@ func (s *Simulator) report() *Report {
 		TotalMigrations:    len(s.events),
 		FinalPMs:           s.placement.NumUsedPMs(),
 		PowerOns:           s.powerOns,
-		CVR:                s.mergedCVR(),
+		CVR:                s.cvrMeter(),
 		MigrationsOverTime: s.migrationsPerStep,
 		PMsOverTime:        s.pmsInUse,
 		Events:             s.events,
@@ -240,26 +238,24 @@ func (s *Simulator) report() *Report {
 	}
 }
 
-// mergedCVR combines the per-shard CVR meters in shard-index order. Each
-// PM's counts live in exactly one shard's meter, so the merge is a disjoint
-// union and independent of the shard count.
-func (s *Simulator) mergedCVR() *metrics.CVRMeter {
-	if len(s.meters) == 1 {
-		return s.meters[0]
+// cvrMeter builds the run's CVR meter from the ledger's per-PM counters.
+func (s *Simulator) cvrMeter() *metrics.CVRMeter {
+	l := s.led
+	m := metrics.NewCVRMeter()
+	for pos, observed := range l.pmObserved {
+		if observed > 0 {
+			m.Add(l.pms[pos].ID, int(observed), int(l.pmViolation[pos]))
+		}
 	}
-	merged := metrics.NewCVRMeter()
-	for _, m := range s.meters {
-		merged.Merge(m)
-	}
-	return merged
+	return m
 }
 
 // vmViolationRatios derives each VM's violated-time fraction.
 func (s *Simulator) vmViolationRatios() map[int]float64 {
-	out := make(map[int]float64, len(s.led.vmObserved))
-	for vi, observed := range s.led.vmObserved {
-		if observed > 0 {
-			out[s.led.vmIDs[vi]] = float64(s.led.vmViolation[vi]) / float64(observed)
+	out := make(map[int]float64, len(s.led.vmIDs))
+	for vi, id := range s.led.vmIDs {
+		if observed, violated := s.led.vmCounts(vi); observed > 0 {
+			out[id] = float64(violated) / float64(observed)
 		}
 	}
 	return out
@@ -303,10 +299,10 @@ func (s *Simulator) step(t int) error {
 		return err
 	}
 
-	if err := s.applyFaults(t, states); err != nil {
+	if err := s.applyFaults(t); err != nil {
 		return err
 	}
-	if err := s.retryStranded(t, states); err != nil {
+	if err := s.retryStranded(t); err != nil {
 		return err
 	}
 
@@ -314,11 +310,11 @@ func (s *Simulator) step(t int) error {
 	s.runSharded(func(shard, lo, hi int) {
 		if traced {
 			t0 := time.Now()
-			s.measureRange(lo, hi, s.meters[shard], scr[shard])
+			s.measureRange(lo, hi, scr[shard])
 			scr[shard].elapsedNs = time.Since(t0).Nanoseconds()
 			return
 		}
-		s.measureRange(lo, hi, s.meters[shard], scr[shard])
+		s.measureRange(lo, hi, scr[shard])
 	})
 	violations := 0
 	triggered := s.trig[:0]
@@ -332,7 +328,7 @@ func (s *Simulator) step(t int) error {
 	s.led.rotateOverhead()
 
 	migrations, stepPowerOns := 0, 0
-	retried, err := s.processRetries(t, states)
+	retried, err := s.processRetries(t)
 	if err != nil {
 		return err
 	}
@@ -353,7 +349,7 @@ func (s *Simulator) step(t int) error {
 	}
 	sort.Ints(triggered)
 	for _, pmID := range triggered {
-		ev, ok, err := s.migrateFrom(t, pmID, states)
+		ev, ok, err := s.migrateFrom(t, pmID)
 		if err != nil {
 			return err
 		}
@@ -444,7 +440,7 @@ func (s *Simulator) boostOf(vmID int) float64 {
 // current ledger demand was derived from, for re-attaching a VM at its
 // unchanged demand (plan execution and rollback).
 func (s *Simulator) ledgerWorkload(vmID int) (markov.State, float64) {
-	vi := s.led.vmPos[vmID]
+	vi := s.led.indexOf(vmID)
 	return s.led.vmState[vi], s.led.vmBoost[vi]
 }
 
@@ -461,7 +457,7 @@ func (s *Simulator) detachVM(vmID int) (int, error) {
 
 // ledgerDemand returns the VM's demand as currently folded into the ledger.
 func (s *Simulator) ledgerDemand(vmID int) float64 {
-	return s.led.vmDem[s.led.vmPos[vmID]]
+	return s.led.vmDem[s.led.indexOf(vmID)]
 }
 
 // resetWindows clears every PM's violation window (after a reconsolidation
@@ -497,7 +493,7 @@ func (s *Simulator) vmDemand(vm cloud.VM, state markov.State) (float64, error) {
 // target. It returns ok=false when no victim or no feasible target exists
 // (the VM then stays put — the system is saturated), or when the injected
 // fault layer fails the attempt (the move then enters the retry queue).
-func (s *Simulator) migrateFrom(t, fromPM int, states map[int]markov.State) (MigrationEvent, bool, error) {
+func (s *Simulator) migrateFrom(t, fromPM int) (MigrationEvent, bool, error) {
 	if s.pendingFrom[fromPM] > 0 {
 		return MigrationEvent{}, false, nil // a move from this PM is already in flight
 	}
@@ -505,7 +501,8 @@ func (s *Simulator) migrateFrom(t, fromPM int, states map[int]markov.State) (Mig
 	if !ok {
 		return MigrationEvent{}, false, nil
 	}
-	demand, err := s.vmDemand(victim, states[victim.ID])
+	st := s.led.stateOf(victim.ID)
+	demand, err := s.vmDemand(victim, st)
 	if err != nil {
 		return MigrationEvent{}, false, err
 	}
@@ -523,7 +520,7 @@ func (s *Simulator) migrateFrom(t, fromPM int, states map[int]markov.State) (Mig
 	if _, err := s.detachVM(victim.ID); err != nil {
 		return MigrationEvent{}, false, err
 	}
-	if err := s.attachVM(victim, target, states[victim.ID], s.boostOf(victim.ID), demand); err != nil {
+	if err := s.attachVM(victim, target, st, s.boostOf(victim.ID), demand); err != nil {
 		return MigrationEvent{}, false, err
 	}
 	// The source pays the migration's CPU overhead next interval, and both

@@ -21,11 +21,17 @@ import (
 //
 // The marginal per-step law matches markov.OnOff exactly: from OFF the VM
 // turns ON with probability POn, from ON it turns OFF with probability POff.
+//
+// Step reads and writes the dense column col (col[i] is vms[i]'s state) and
+// touches the published map only for the few VMs that flip, so an interval
+// costs one sequential pass, not a map probe per VM. The map stays live and
+// exact: States() returns the same map for the fleet's whole life.
 type HashedFleet struct {
-	vms    []cloud.VM
-	states map[int]markov.State
-	seed   int64
-	t      int // intervals stepped so far
+	vms      []cloud.VM
+	col      []markov.State
+	states   map[int]markov.State
+	seedHash uint64 // hfSeedHash(seed), hoisted out of the per-VM loop
+	t        int    // intervals stepped so far
 }
 
 // streamHashedFleet domain-separates this source's draws from other
@@ -42,11 +48,16 @@ func hfMix(x uint64) uint64 {
 	return x
 }
 
-// hfUniform hashes (seed, vmID, t) to a float64 in [0, 1).
-func hfUniform(seed int64, vmID, t int) float64 {
-	h := hfMix(uint64(seed) ^ 0x9e3779b97f4a7c15)
-	h = hfMix(h ^ streamHashedFleet)
-	h = hfMix(h ^ uint64(uint32(vmID)) ^ uint64(uint32(t))<<32)
+// hfSeedHash runs the two hash rounds of a (seed, vmID, t) draw that depend on
+// the seed and the stream constant alone — once per fleet.
+func hfSeedHash(seed int64) uint64 {
+	return hfMix(hfMix(uint64(seed)^0x9e3779b97f4a7c15) ^ streamHashedFleet)
+}
+
+// hfDraw runs the third round, folding in the VM id and the interval, and
+// maps the hash to a float64 in [0, 1) — once per VM per step.
+func hfDraw(seedHash uint64, vmID, t int) float64 {
+	h := hfMix(seedHash ^ uint64(uint32(vmID)) ^ uint64(uint32(t))<<32)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -57,9 +68,10 @@ func NewHashedFleet(vms []cloud.VM, seed int64) (*HashedFleet, error) {
 		return nil, err
 	}
 	f := &HashedFleet{
-		vms:    append([]cloud.VM(nil), vms...),
-		states: make(map[int]markov.State, len(vms)),
-		seed:   seed,
+		vms:      append([]cloud.VM(nil), vms...),
+		col:      make([]markov.State, len(vms)),
+		states:   make(map[int]markov.State, len(vms)),
+		seedHash: hfSeedHash(seed),
 	}
 	f.AllOff()
 	return f, nil
@@ -67,7 +79,8 @@ func NewHashedFleet(vms []cloud.VM, seed int64) (*HashedFleet, error) {
 
 // AllOff forces every VM to OFF and restarts the interval clock.
 func (f *HashedFleet) AllOff() {
-	for _, vm := range f.vms {
+	for i, vm := range f.vms {
+		f.col[i] = markov.Off
 		f.states[vm.ID] = markov.Off
 	}
 	f.t = 0
@@ -76,16 +89,18 @@ func (f *HashedFleet) AllOff() {
 // Step advances every VM one interval. The rng parameter of the DemandSource
 // contract is ignored: every draw comes from the (seed, vmID, interval) hash.
 func (f *HashedFleet) Step(_ *rand.Rand) {
-	t := f.t
-	for _, vm := range f.vms {
-		u := hfUniform(f.seed, vm.ID, t)
-		switch f.states[vm.ID] {
+	for i := range f.vms {
+		vm := &f.vms[i]
+		u := hfDraw(f.seedHash, vm.ID, f.t)
+		switch f.col[i] {
 		case markov.On:
 			if u < vm.POff {
+				f.col[i] = markov.Off
 				f.states[vm.ID] = markov.Off
 			}
 		default:
 			if u < vm.POn {
+				f.col[i] = markov.On
 				f.states[vm.ID] = markov.On
 			}
 		}
@@ -108,6 +123,7 @@ func (f *HashedFleet) Add(vm cloud.VM, start markov.State) error {
 		return fmt.Errorf("workload: VM %d already tracked", vm.ID)
 	}
 	f.vms = append(f.vms, vm)
+	f.col = append(f.col, start)
 	f.states[vm.ID] = start
 	return nil
 }
@@ -121,6 +137,7 @@ func (f *HashedFleet) Remove(vmID int) error {
 	for i, vm := range f.vms {
 		if vm.ID == vmID {
 			f.vms = append(f.vms[:i], f.vms[i+1:]...)
+			f.col = append(f.col[:i], f.col[i+1:]...)
 			break
 		}
 	}

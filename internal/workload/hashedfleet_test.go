@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
@@ -155,5 +156,91 @@ func TestHashedFleetRejectsInvalidVMs(t *testing.T) {
 	}
 	if err := f.Add(cloud.VM{ID: -5}, markov.Off); err == nil {
 		t.Fatal("invalid VM accepted by Add")
+	}
+}
+
+// hfUniform is the from-scratch definition of the (seed, vmID, t) variate:
+// three splitmix64 rounds. The fleet hoists the first two per fleet; this
+// reference does not.
+func hfUniform(seed int64, vmID, t int) float64 {
+	h := hfMix(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	h = hfMix(h ^ streamHashedFleet)
+	h = hfMix(h ^ uint64(uint32(vmID)) ^ uint64(uint32(t))<<32)
+	return float64(h>>11) / (1 << 53)
+}
+
+func TestHashedFleetPureFunctionContract(t *testing.T) {
+	// After any Add / Remove / Step / AllOff sequence every tracked VM's
+	// state equals the one recomputed from hfUniform alone, the dense column
+	// and the published map agree entry for entry, and States() is the same
+	// map for the fleet's whole life (bench/script.go's genClosed holds it
+	// across Step calls).
+	const seed = 91
+	rng := rand.New(rand.NewSource(5))
+	f, err := NewHashedFleet(hashedTestVMs(40), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := f.States()
+	want := make(map[int]markov.State)
+	specs := make(map[int]cloud.VM)
+	for _, vm := range hashedTestVMs(40) {
+		want[vm.ID], specs[vm.ID] = markov.Off, vm
+	}
+	clock, nextID := 0, 1000
+	check := func(op string) {
+		t.Helper()
+		if reflect.ValueOf(f.States()).Pointer() != reflect.ValueOf(live).Pointer() {
+			t.Fatalf("after %s: States() returned a different map", op)
+		}
+		if len(live) != len(want) || len(f.col) != len(want) || f.Size() != len(want) {
+			t.Fatalf("after %s: %d map entries, %d column entries, Size %d, want %d",
+				op, len(live), len(f.col), f.Size(), len(want))
+		}
+		for i, vm := range f.vms {
+			if f.col[i] != want[vm.ID] || live[vm.ID] != want[vm.ID] {
+				t.Fatalf("after %s: VM %d column %v map %v, want %v", op, vm.ID, f.col[i], live[vm.ID], want[vm.ID])
+			}
+		}
+	}
+	for op := 0; op < 600; op++ {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			f.Step(nil)
+			for id, st := range want {
+				u := hfUniform(seed, id, clock)
+				switch {
+				case st == markov.On && u < specs[id].POff:
+					want[id] = markov.Off
+				case st == markov.Off && u < specs[id].POn:
+					want[id] = markov.On
+				}
+			}
+			clock++
+			check("Step")
+		case r < 8:
+			vm := cloud.VM{ID: nextID, Rb: 1, Re: 1, POn: 0.2 + 0.6*rng.Float64(), POff: 0.2 + 0.6*rng.Float64()}
+			nextID += 1 + rng.Intn(1_000_000)
+			start := markov.State(rng.Intn(2))
+			if err := f.Add(vm, start); err != nil {
+				t.Fatal(err)
+			}
+			want[vm.ID], specs[vm.ID] = start, vm
+			check("Add")
+		case r < 9 && len(want) > 1:
+			victim := f.vms[rng.Intn(len(f.vms))].ID
+			if err := f.Remove(victim); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, victim)
+			check("Remove")
+		case op%97 == 0:
+			f.AllOff()
+			for id := range want {
+				want[id] = markov.Off
+			}
+			clock = 0
+			check("AllOff")
+		}
 	}
 }

@@ -108,10 +108,13 @@ func GenerateRequestTrace(entry TableIEntry, pOn, pOff float64, length int, inte
 
 // FleetStates tracks the joint ON-OFF evolution of a whole fleet, advancing
 // every VM's chain one interval at a time — the demand side of the
-// datacenter simulation.
+// datacenter simulation. Like HashedFleet it steps over a dense column
+// (col[i] is vms[i]'s state) and writes the published map only on a
+// transition.
 type FleetStates struct {
 	vms    []cloud.VM
 	chains []markov.OnOff
+	col    []markov.State
 	states map[int]markov.State
 }
 
@@ -123,6 +126,7 @@ func NewFleetStates(vms []cloud.VM, rng *rand.Rand) (*FleetStates, error) {
 	f := &FleetStates{
 		vms:    append([]cloud.VM(nil), vms...),
 		chains: make([]markov.OnOff, len(vms)),
+		col:    make([]markov.State, len(vms)),
 		states: make(map[int]markov.State, len(vms)),
 	}
 	for i, vm := range f.vms {
@@ -131,7 +135,8 @@ func NewFleetStates(vms []cloud.VM, rng *rand.Rand) (*FleetStates, error) {
 			return nil, err
 		}
 		f.chains[i] = chain
-		f.states[vm.ID] = chain.SampleStationary(rng)
+		f.col[i] = chain.SampleStationary(rng)
+		f.states[vm.ID] = f.col[i]
 	}
 	return f, nil
 }
@@ -139,15 +144,19 @@ func NewFleetStates(vms []cloud.VM, rng *rand.Rand) (*FleetStates, error) {
 // AllOff forces every VM to OFF — the paper's t = 0 condition for Eq. (3),
 // where the initial placement is checked against normal workload.
 func (f *FleetStates) AllOff() {
-	for id := range f.states {
-		f.states[id] = markov.Off
+	for i, vm := range f.vms {
+		f.col[i] = markov.Off
+		f.states[vm.ID] = markov.Off
 	}
 }
 
-// Step advances every VM one interval.
+// Step advances every VM one interval, one RNG draw per VM in fleet order.
 func (f *FleetStates) Step(rng *rand.Rand) {
-	for i, vm := range f.vms {
-		f.states[vm.ID] = f.chains[i].Step(f.states[vm.ID], rng)
+	for i := range f.vms {
+		if next := f.chains[i].Step(f.col[i], rng); next != f.col[i] {
+			f.col[i] = next
+			f.states[f.vms[i].ID] = next
+		}
 	}
 }
 
@@ -176,6 +185,7 @@ func (f *FleetStates) Add(vm cloud.VM, start markov.State) error {
 	}
 	f.vms = append(f.vms, vm)
 	f.chains = append(f.chains, chain)
+	f.col = append(f.col, start)
 	f.states[vm.ID] = start
 	return nil
 }
@@ -190,6 +200,7 @@ func (f *FleetStates) Remove(vmID int) error {
 		if vm.ID == vmID {
 			f.vms = append(f.vms[:i], f.vms[i+1:]...)
 			f.chains = append(f.chains[:i], f.chains[i+1:]...)
+			f.col = append(f.col[:i], f.col[i+1:]...)
 			break
 		}
 	}
@@ -202,7 +213,7 @@ func (f *FleetStates) Size() int { return len(f.vms) }
 // OnCount returns the number of VMs currently ON.
 func (f *FleetStates) OnCount() int {
 	n := 0
-	for _, s := range f.states {
+	for _, s := range f.col {
 		if s == markov.On {
 			n++
 		}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
@@ -213,5 +214,75 @@ func TestFleetStatesAddRemove(t *testing.T) {
 	fs.Step(rng)
 	if _, ok := fs.State(0); !ok {
 		t.Error("remaining VM lost after remove+step")
+	}
+}
+
+func TestFleetStatesColumnAndMapInStep(t *testing.T) {
+	// The dense column is an implementation detail: through Add / Remove /
+	// Step / AllOff the published map must equal a fleet stepped the old way
+	// — states[id] = chain.Step(states[id], rng), one draw per VM in fleet
+	// order — off an identically seeded stream, and stay the same map.
+	vms := make([]cloud.VM, 30)
+	for i := range vms {
+		vms[i] = cloud.VM{ID: 3 * i, POn: 0.3, POff: 0.4, Rb: 1, Re: 1}
+	}
+	rng, refRng := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+	fs, err := NewFleetStates(vms, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := fs.States()
+	order := append([]cloud.VM(nil), vms...)
+	want := make(map[int]markov.State)
+	for _, vm := range order {
+		chain, _ := vm.Chain()
+		want[vm.ID] = chain.SampleStationary(refRng)
+	}
+	ops := rand.New(rand.NewSource(22))
+	for op := 0; op < 400; op++ {
+		switch r := ops.Intn(10); {
+		case r < 6:
+			fs.Step(rng)
+			for _, vm := range order {
+				chain, _ := vm.Chain()
+				want[vm.ID] = chain.Step(want[vm.ID], refRng)
+			}
+		case r < 8:
+			vm := cloud.VM{ID: 1000 + op, POn: 0.5, POff: 0.5, Rb: 1, Re: 1}
+			start := markov.State(ops.Intn(2))
+			if err := fs.Add(vm, start); err != nil {
+				t.Fatal(err)
+			}
+			order = append(order, vm)
+			want[vm.ID] = start
+		case r < 9 && len(order) > 1:
+			i := ops.Intn(len(order))
+			if err := fs.Remove(order[i].ID); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, order[i].ID)
+			order = append(order[:i], order[i+1:]...)
+		case op%53 == 0:
+			fs.AllOff()
+			for id := range want {
+				want[id] = markov.Off
+			}
+		}
+		if !reflect.DeepEqual(live, want) {
+			t.Fatalf("op %d: published map diverged from the map-stepped reference", op)
+		}
+		on := 0
+		for i, vm := range fs.vms {
+			if fs.col[i] != live[vm.ID] {
+				t.Fatalf("op %d: VM %d column %v, map %v", op, vm.ID, fs.col[i], live[vm.ID])
+			}
+			on += int(fs.col[i])
+		}
+		if fs.OnCount() != on || len(fs.col) != len(want) {
+			t.Fatalf("op %d: OnCount %d / %d column entries, want %d / %d", op, fs.OnCount(), len(fs.col), on, len(want))
+		}
+	}
+	if reflect.ValueOf(fs.States()).Pointer() != reflect.ValueOf(live).Pointer() {
+		t.Fatal("States() returned a different map")
 	}
 }
