@@ -68,14 +68,20 @@ metrics-smoke:
 cli-smoke:
 	GO=$(GO) bash cmd/smoke.sh
 
-# Short fuzz smoke of the solver-agreement, transient-agreement, MapCal,
-# fault-plan, and admission-config contracts.
+# Short fuzz smoke of every fuzz target in the module: the solver-agreement,
+# transient-agreement and MapCal contracts, the three markov estimators, the
+# fault-plan and admission-config parsers, and the dense Placement against its
+# map-based reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverAgreement -fuzztime 10s ./internal/queuing/
 	$(GO) test -run '^$$' -fuzz FuzzTransientAgreement -fuzztime 10s ./internal/queuing/
 	$(GO) test -run '^$$' -fuzz FuzzMapCal -fuzztime 10s ./internal/queuing/
+	$(GO) test -run '^$$' -fuzz FuzzBinomialPMF -fuzztime 10s ./internal/markov/
+	$(GO) test -run '^$$' -fuzz FuzzFitLevels -fuzztime 10s ./internal/markov/
+	$(GO) test -run '^$$' -fuzz FuzzEstimateOnOff -fuzztime 10s ./internal/markov/
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionConfig -fuzztime 10s ./internal/admission/
+	$(GO) test -run '^$$' -fuzz FuzzPlacementOps -fuzztime 10s ./internal/cloud/
 
 cover:
 	$(GO) test -cover ./...

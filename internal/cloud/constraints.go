@@ -51,7 +51,7 @@ func CheckReserved(p *Placement, table *queuing.MappingTable) []Violation {
 // δ-fraction of each PM is withheld from packing.
 func CheckFixedReserve(p *Placement, delta float64) []Violation {
 	return check(p, func(pmID int) (float64, string) {
-		pm := p.pms[pmID]
+		pm, _ := p.PM(pmID)
 		// Expressed as footprint vs capacity by adding the reserve to ΣR_b.
 		return p.SumRb(pmID) + delta*pm.Capacity, fmt.Sprintf("fixed-reserve constraint (ΣR_b + δC ≤ C, δ=%.2f)", delta)
 	})
@@ -62,9 +62,9 @@ func check(p *Placement, footprint func(pmID int) (float64, string)) []Violation
 	const eps = 1e-9
 	for _, pmID := range p.UsedPMs() {
 		fp, detail := footprint(pmID)
-		cap := p.pms[pmID].Capacity
-		if fp > cap+eps {
-			out = append(out, Violation{PMID: pmID, Footprint: fp, Capacity: cap, Detail: detail})
+		pm, _ := p.PM(pmID)
+		if fp > pm.Capacity+eps {
+			out = append(out, Violation{PMID: pmID, Footprint: fp, Capacity: pm.Capacity, Detail: detail})
 		}
 	}
 	return out
@@ -74,8 +74,8 @@ func check(p *Placement, footprint func(pmID int) (float64, string)) []Violation
 // workload state — the left side of Eq. (3) at runtime.
 func (p *Placement) InstantLoad(pmID int, states map[int]markov.State) float64 {
 	load := 0.0
-	for _, id := range p.pmToVMs[pmID] {
-		load += p.vms[id].Demand(states[id])
+	for _, vm := range p.hosted(pmID) {
+		load += vm.Demand(states[vm.ID])
 	}
 	return load
 }
@@ -83,7 +83,7 @@ func (p *Placement) InstantLoad(pmID int, states map[int]markov.State) float64 {
 // IsViolated reports vio(j, t): whether the aggregate instantaneous demand on
 // PM j exceeds its capacity for the given VM states.
 func (p *Placement) IsViolated(pmID int, states map[int]markov.State) bool {
-	pm, ok := p.pms[pmID]
+	pm, ok := p.PM(pmID)
 	if !ok {
 		return false
 	}

@@ -6,6 +6,7 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/markov"
 )
@@ -35,9 +36,11 @@ func (v VM) Demand(s markov.State) float64 {
 // Chain returns the VM's ON-OFF workload chain.
 func (v VM) Chain() (markov.OnOff, error) { return markov.NewOnOff(v.POn, v.POff) }
 
-// Validate checks the four-tuple: probabilities in (0,1], non-negative
-// demands, and a positive peak (a VM that never needs resources is a spec
-// error, not a workload).
+// Validate checks the four-tuple: probabilities in (0,1], finite
+// non-negative demands, and a positive peak (a VM that never needs resources
+// is a spec error, not a workload). NaN fails every ordered comparison, so
+// finiteness is tested explicitly: one NaN demand would poison its PM's cached
+// Σ R_b, every index score derived from it and the cluster sort's ordering.
 func (v VM) Validate() error {
 	if v.ID < 0 {
 		return fmt.Errorf("cloud: VM id %d is negative", v.ID)
@@ -45,8 +48,8 @@ func (v VM) Validate() error {
 	if _, err := markov.NewOnOff(v.POn, v.POff); err != nil {
 		return fmt.Errorf("cloud: VM %d: %w", v.ID, err)
 	}
-	if v.Rb < 0 || v.Re < 0 {
-		return fmt.Errorf("cloud: VM %d has negative demand (Rb=%v, Re=%v)", v.ID, v.Rb, v.Re)
+	if !finite(v.Rb) || !finite(v.Re) || v.Rb < 0 || v.Re < 0 {
+		return fmt.Errorf("cloud: VM %d has negative or non-finite demand (Rb=%v, Re=%v)", v.ID, v.Rb, v.Re)
 	}
 	if v.Rp() <= 0 {
 		return fmt.Errorf("cloud: VM %d has zero peak demand", v.ID)
@@ -66,11 +69,14 @@ func (p PM) Validate() error {
 	if p.ID < 0 {
 		return fmt.Errorf("cloud: PM id %d is negative", p.ID)
 	}
-	if p.Capacity <= 0 {
-		return fmt.Errorf("cloud: PM %d has non-positive capacity %v", p.ID, p.Capacity)
+	if !finite(p.Capacity) || p.Capacity <= 0 {
+		return fmt.Errorf("cloud: PM %d has non-positive or non-finite capacity %v", p.ID, p.Capacity)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // ValidateVMs checks a fleet for individual validity and unique IDs.
 func ValidateVMs(vms []VM) error {

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/markov"
@@ -52,6 +53,11 @@ func TestVMValidate(t *testing.T) {
 		{"negative Rb", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: -1, Re: 1}},
 		{"negative Re", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: 1, Re: -1}},
 		{"zero peak", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: 0, Re: 0}},
+		{"NaN Rb", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: math.NaN(), Re: 1}},
+		{"NaN Re", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: 1, Re: math.NaN()}},
+		{"+Inf Rb", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: math.Inf(1), Re: 1}},
+		{"+Inf Re", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: 1, Re: math.Inf(1)}},
+		{"-Inf Re", VM{ID: 0, POn: 0.1, POff: 0.1, Rb: 1, Re: math.Inf(-1)}},
 	}
 	for _, c := range cases {
 		if err := c.vm.Validate(); err == nil {
@@ -69,11 +75,21 @@ func TestPMValidate(t *testing.T) {
 	if err := (PM{ID: 0, Capacity: 100}).Validate(); err != nil {
 		t.Errorf("valid PM rejected: %v", err)
 	}
-	if err := (PM{ID: -1, Capacity: 100}).Validate(); err == nil {
-		t.Error("negative id accepted")
+	cases := []struct {
+		name string
+		pm   PM
+	}{
+		{"negative id", PM{ID: -1, Capacity: 100}},
+		{"zero capacity", PM{ID: 0, Capacity: 0}},
+		{"negative capacity", PM{ID: 0, Capacity: -5}},
+		{"NaN capacity", PM{ID: 0, Capacity: math.NaN()}},
+		{"+Inf capacity", PM{ID: 0, Capacity: math.Inf(1)}},
+		{"-Inf capacity", PM{ID: 0, Capacity: math.Inf(-1)}},
 	}
-	if err := (PM{ID: 0, Capacity: 0}).Validate(); err == nil {
-		t.Error("zero capacity accepted")
+	for _, c := range cases {
+		if err := c.pm.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted invalid PM", c.name)
+		}
 	}
 }
 

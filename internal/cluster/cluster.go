@@ -10,8 +10,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cloud"
@@ -43,20 +45,36 @@ func ByRangeBuckets(vms []cloud.VM, numBuckets int) ([]Cluster, error) {
 		return []Cluster{c}, nil
 	}
 	width := (maxRe - minRe) / float64(numBuckets)
-	buckets := make([][]cloud.VM, numBuckets)
-	for _, v := range vms {
+	bucketOf := func(v cloud.VM) int {
 		idx := int((v.Re - minRe) / width)
 		if idx >= numBuckets { // v.Re == maxRe lands one past the end
 			idx = numBuckets - 1
 		}
+		return idx
+	}
+	// Count, then carve every bucket out of one backing array at its final
+	// size (capped, so a caller's append cannot reach a neighbour): with the
+	// default n/8 buckets, growing each by append costs more than the pass.
+	counts := make([]int, numBuckets)
+	for _, v := range vms {
+		counts[bucketOf(v)]++
+	}
+	backing := make([]cloud.VM, len(vms))
+	buckets := make([][]cloud.VM, numBuckets)
+	from := 0
+	for idx, n := range counts {
+		buckets[idx] = backing[from : from : from+n]
+		from += n
+	}
+	for _, v := range vms {
+		idx := bucketOf(v)
 		buckets[idx] = append(buckets[idx], v)
 	}
-	var out []Cluster
+	out := make([]Cluster, 0, numBuckets)
 	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
+		if len(b) > 0 {
+			out = append(out, newCluster(b))
 		}
-		out = append(out, newCluster(b))
 	}
 	return out, nil
 }
@@ -180,26 +198,40 @@ func Singletons(vms []cloud.VM) []Cluster {
 
 // SortForPlacement applies the ordering of Algorithm 2, lines 8–9: clusters
 // by MaxRe descending, VMs within each cluster by R_b descending. Ties break
-// by VM id for determinism. It sorts in place and returns the flattened VM
-// order that First-Fit will consume.
+// by VM id for determinism — both comparators end on an id that is unique
+// across a validated fleet, so they are total orders and the sort needs no
+// stability. It sorts in place and returns the flattened VM order that
+// First-Fit will consume.
 func SortForPlacement(clusters []Cluster) []cloud.VM {
-	sort.SliceStable(clusters, func(i, j int) bool {
-		if clusters[i].MaxRe != clusters[j].MaxRe {
-			return clusters[i].MaxRe > clusters[j].MaxRe
+	slices.SortFunc(clusters, func(a, b Cluster) int {
+		if a.MaxRe != b.MaxRe {
+			return descending(a.MaxRe, b.MaxRe)
 		}
-		return clusterMinID(clusters[i]) < clusterMinID(clusters[j])
+		return cmp.Compare(clusterMinID(a), clusterMinID(b))
 	})
-	var flat []cloud.VM
+	total := 0
 	for _, c := range clusters {
-		sort.SliceStable(c.VMs, func(i, j int) bool {
-			if c.VMs[i].Rb != c.VMs[j].Rb {
-				return c.VMs[i].Rb > c.VMs[j].Rb
+		total += len(c.VMs)
+	}
+	flat := make([]cloud.VM, 0, total)
+	for _, c := range clusters {
+		slices.SortFunc(c.VMs, func(a, b cloud.VM) int {
+			if a.Rb != b.Rb {
+				return descending(a.Rb, b.Rb)
 			}
-			return c.VMs[i].ID < c.VMs[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		flat = append(flat, c.VMs...)
 	}
 	return flat
+}
+
+// descending orders two unequal values larger-first.
+func descending(a, b float64) int {
+	if a > b {
+		return -1
+	}
+	return 1
 }
 
 func newCluster(vms []cloud.VM) Cluster {

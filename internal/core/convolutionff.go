@@ -36,6 +36,9 @@ func (s ConvolutionFF) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
 	if s.MaxVMsPerPM < 1 || s.MaxVMsPerPM > 24 {
 		return nil, fmt.Errorf("core: CONV needs MaxVMsPerPM in [1,24] (convolution growth), got %d", s.MaxVMsPerPM)
 	}
+	if err := cloud.ValidateVMs(vms); err != nil {
+		return nil, err
+	}
 	ordered := sortByDecreasing(vms, cloud.VM.Rp)
 	return firstFit(ordered, pms, func(p *cloud.Placement, vm cloud.VM, pmID int) bool {
 		if p.CountOn(pmID) >= s.MaxVMsPerPM {

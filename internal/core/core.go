@@ -38,25 +38,21 @@ func (r *Result) UsedPMs() int { return r.Placement.NumUsedPMs() }
 type admission func(p *cloud.Placement, vm cloud.VM, pmID int) bool
 
 // firstFit places each VM (in the given order) on the lowest-id PM that
-// admits it, the First Fit core shared by every strategy in the paper.
+// admits it, the First Fit core shared by every strategy in the paper. The
+// fleet must already have passed cloud.ValidateVMs: every strategy's Place
+// validates once on entry, before it orders the fleet.
 func firstFit(vms []cloud.VM, pms []cloud.PM, admit admission) (*Result, error) {
-	if err := cloud.ValidateVMs(vms); err != nil {
-		return nil, err
-	}
 	placement, err := cloud.NewPlacement(pms)
 	if err != nil {
 		return nil, err
 	}
-	ordered := append([]cloud.PM(nil), pms...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-
 	var unplaced []cloud.VM
 	for _, vm := range vms {
 		placed := false
-		for _, pm := range ordered {
-			if admit(placement, vm, pm.ID) {
-				if err := placement.Assign(vm, pm.ID); err != nil {
-					return nil, fmt.Errorf("core: assigning VM %d to PM %d: %w", vm.ID, pm.ID, err)
+		for i := 0; i < placement.NumPMs(); i++ {
+			if pmID := placement.PMAt(i).ID; admit(placement, vm, pmID) {
+				if err := placement.Assign(vm, pmID); err != nil {
+					return nil, fmt.Errorf("core: assigning VM %d to PM %d: %w", vm.ID, pmID, err)
 				}
 				placed = true
 				break

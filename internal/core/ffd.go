@@ -26,6 +26,9 @@ func (FFDByRp) Name() string { return "RP" }
 // Place runs FFD ordered by R_p descending with the peak constraint
 // Σ R_p ≤ C.
 func (s FFDByRp) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
+	if err := cloud.ValidateVMs(vms); err != nil {
+		return nil, err
+	}
 	ordered := sortByDecreasing(vms, cloud.VM.Rp)
 	admit := func(p *cloud.Placement, vm cloud.VM, pmID int) bool {
 		if s.MaxVMsPerPM > 0 && p.CountOn(pmID) >= s.MaxVMsPerPM {
@@ -62,6 +65,9 @@ func (FFDByRb) Name() string { return "RB" }
 // Place runs FFD ordered by R_b descending with the normal constraint
 // Σ R_b ≤ C (Eq. 3 at t = 0 with all VMs OFF).
 func (s FFDByRb) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
+	if err := cloud.ValidateVMs(vms); err != nil {
+		return nil, err
+	}
 	ordered := sortByDecreasing(vms, func(v cloud.VM) float64 { return v.Rb })
 	admit := func(p *cloud.Placement, vm cloud.VM, pmID int) bool {
 		if s.MaxVMsPerPM > 0 && p.CountOn(pmID) >= s.MaxVMsPerPM {
@@ -102,6 +108,9 @@ func (RBEX) Name() string { return "RB-EX" }
 func (s RBEX) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
 	if s.Delta < 0 || s.Delta >= 1 {
 		return nil, fmt.Errorf("core: RB-EX delta = %v outside [0,1)", s.Delta)
+	}
+	if err := cloud.ValidateVMs(vms); err != nil {
+		return nil, err
 	}
 	ordered := sortByDecreasing(vms, func(v cloud.VM) float64 { return v.Rb })
 	admit := func(p *cloud.Placement, vm cloud.VM, pmID int) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,17 +178,47 @@ func TestMaxVMsPerPMCap(t *testing.T) {
 	}
 }
 
+// TestPlaceRejectsInvalidSpecs: every strategy validates the fleet exactly
+// once, on entry to Place — the shared first-fit loops no longer do — so each
+// entry point, under both placers, must itself refuse an invalid VM, a
+// non-finite demand and a duplicate id, and still refuse a bad pool.
 func TestPlaceRejectsInvalidSpecs(t *testing.T) {
-	bad := []cloud.VM{{ID: 1, POn: 0, POff: 0.1, Rb: 1, Re: 1}}
-	if _, err := (FFDByRb{}).Place(bad, mkPool(1, 10)); err == nil {
-		t.Error("invalid VM accepted")
+	var strategies []Strategy
+	for _, placer := range []Placer{PlacerIndexed, PlacerLinear} {
+		for _, s := range []Strategy{
+			QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, FFDByRp{}, FFDByRb{}, RBEX{Delta: 0.3},
+		} {
+			strategies = append(strategies, withPlacer(s, placer))
+		}
 	}
-	dup := []cloud.VM{mkVM(1, 1, 1), mkVM(1, 2, 2)}
-	if _, err := (FFDByRp{}).Place(dup, mkPool(1, 10)); err == nil {
-		t.Error("duplicate VM ids accepted")
+	strategies = append(strategies,
+		EffectiveSizing{Epsilon: 0.05},
+		ConvolutionFF{Rho: 0.01, MaxVMsPerPM: 8})
+
+	fleets := []struct {
+		name string
+		vms  []cloud.VM
+	}{
+		{"invalid VM", []cloud.VM{mkVM(0, 1, 1), {ID: 1, POn: 0, POff: 0.1, Rb: 1, Re: 1}}},
+		{"NaN demand", []cloud.VM{mkVM(0, 1, 1), mkVM(1, math.NaN(), 1)}},
+		{"infinite spike", []cloud.VM{mkVM(0, 1, 1), mkVM(1, 1, math.Inf(1))}},
+		{"duplicate id", []cloud.VM{mkVM(1, 1, 1), mkVM(2, 1, 1), mkVM(1, 2, 2)}},
 	}
-	if _, err := (FFDByRb{}).Place([]cloud.VM{mkVM(1, 1, 1)}, []cloud.PM{{ID: 0, Capacity: -1}}); err == nil {
-		t.Error("invalid PM accepted")
+	for _, s := range strategies {
+		for _, f := range fleets {
+			if _, err := s.Place(f.vms, mkPool(4, 10)); err == nil {
+				t.Errorf("%s (%T): %s accepted", s.Name(), s, f.name)
+			}
+		}
+		if _, err := s.Place([]cloud.VM{mkVM(1, 1, 1)}, []cloud.PM{{ID: 0, Capacity: -1}}); err == nil {
+			t.Errorf("%s: invalid PM accepted", s.Name())
+		}
+		if _, err := s.Place([]cloud.VM{mkVM(1, 1, 1)}, []cloud.PM{{ID: 0, Capacity: math.NaN()}}); err == nil {
+			t.Errorf("%s: NaN capacity accepted", s.Name())
+		}
+		if res, err := s.Place([]cloud.VM{mkVM(1, 1, 1), mkVM(2, 1, 1)}, mkPool(4, 10)); err != nil || res.Placement.NumVMs() != 2 {
+			t.Errorf("%s: valid fleet not placed: %v", s.Name(), err)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func NewOnline(strategy QueuingFFD, pms []cloud.PM, pOn, pOff float64) (*Online,
 	o := &Online{strategy: strategy, table: table, place: place}
 	if strategy.Placer == PlacerIndexed {
 		spec := strategy.fitSpec(func() *queuing.MappingTable { return o.table })
-		o.index = newPlaceIndex(place, pms, spec)
+		o.index = newPlaceIndex(place, spec)
 	}
 	return o, nil
 }
@@ -87,12 +87,12 @@ func (o *Online) Arrive(vm cloud.VM) (int, error) {
 		o.index.refresh(o.place, pmID)
 		return pmID, nil
 	}
-	for _, pm := range o.place.PMs() {
-		if o.strategy.admit(o.place, vm, pm.ID, o.table) {
-			if err := o.place.Assign(vm, pm.ID); err != nil {
+	for i := 0; i < o.place.NumPMs(); i++ {
+		if pmID := o.place.PMAt(i).ID; o.strategy.admit(o.place, vm, pmID, o.table) {
+			if err := o.place.Assign(vm, pmID); err != nil {
 				return 0, err
 			}
-			return pm.ID, nil
+			return pmID, nil
 		}
 	}
 	return 0, fmt.Errorf("core: no PM can admit VM %d under Eq. (17): %w", vm.ID, cloud.ErrNoCapacity)
@@ -139,7 +139,7 @@ func (o *Online) RefreshPMs(pmIDs []int) {
 	}
 	positions := make([]int, 0, len(pmIDs))
 	for _, id := range pmIDs {
-		if pos, ok := o.index.posOf(id); ok {
+		if pos, ok := o.place.PosOf(id); ok {
 			positions = append(positions, pos)
 		}
 	}

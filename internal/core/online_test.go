@@ -193,6 +193,39 @@ func TestOnlineArriveBatchAbortsOnRealError(t *testing.T) {
 // After RefreshTable swaps the mapping table, refreshAll must leave the
 // persistent index in exactly the state a fresh build over the same placement
 // would produce — every PM's cached headroom score identical.
+// TestOnlineSteadyStateAllocatesNothing: once the placement is warm — host
+// lists at their working capacity, the VM→position map grown — an admitted
+// arrival and its departure touch only slices, one map write and one map
+// delete. (The serving path's one remaining allocation per commit is the
+// published Snapshot in placesvc, by design.)
+func TestOnlineSteadyStateAllocatesNothing(t *testing.T) {
+	o := newOnlineT(t, mkPool(50, 100))
+	rng := rand.New(rand.NewSource(3))
+	for id := 0; id < 200; id++ {
+		if _, err := o.Arrive(mkVM(id, 2+8*rng.Float64(), 2+8*rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cycle ids through once so every host list has seen its peak length.
+	next := 200
+	pair := func() {
+		vm := mkVM(next, 5, 5)
+		if _, err := o.Arrive(vm); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Depart(next - 100); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 300; i++ {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(500, pair); allocs != 0 {
+		t.Errorf("warmed Arrive+Depart pair allocates %v times, want 0", allocs)
+	}
+}
+
 func TestOnlineRefreshAllMatchesFreshIndex(t *testing.T) {
 	s := QueuingFFD{Rho: 0.20, MaxVMsPerPM: 16}
 	pms := mkPool(8, 60)
@@ -218,7 +251,7 @@ func TestOnlineRefreshAllMatchesFreshIndex(t *testing.T) {
 	if err := o.RefreshTable(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := newPlaceIndex(o.place, pms, s.fitSpec(func() *queuing.MappingTable { return o.table }))
+	fresh := newPlaceIndex(o.place, s.fitSpec(func() *queuing.MappingTable { return o.table }))
 	tightened := false
 	for i := 0; i < fresh.tree.Len(); i++ {
 		got, want := o.index.tree.Get(i), fresh.tree.Get(i)

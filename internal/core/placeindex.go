@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cloud"
@@ -41,18 +40,16 @@ type fitSpec struct {
 	score func(p *cloud.Placement, pm cloud.PM) float64
 }
 
-// placeIndex is a first-fit index over a PM pool: tree position = rank of the
-// PM in ascending-id order, tree value = the strategy's headroom score.
+// placeIndex is a first-fit index over a placement's PM pool: tree position =
+// the PM's position in the placement's id-sorted pool (cloud.Placement.PosOf /
+// PMAt — the index keeps no pool copy or id map of its own), tree value = the
+// strategy's headroom score.
 //
-// Position lookup goes through cloud.IDIndex (one slice read for the common
-// dense-id pool, a map for sparse id spaces). Scores are pure functions of
-// (placement, PM), so rescoring work can fan out over contiguous position
-// ranges — see refreshRange / refreshAllParallel — and merge
-// deterministically: the tree state after a rescore depends only on the
-// scores, never the worker count.
+// Scores are pure functions of (placement, PM), so rescoring work can fan out
+// over contiguous position ranges — see refreshAllParallel /
+// refreshPositions — and merge deterministically: the tree state after a
+// rescore depends only on the scores, never the worker count.
 type placeIndex struct {
-	pms     []cloud.PM     // pool sorted ascending by id
-	pos     *cloud.IDIndex // PM id → position
 	tree    *fitindex.MaxTree
 	spec    fitSpec
 	scratch []float64 // reusable score buffer for wholesale rebuilds
@@ -63,33 +60,20 @@ type placeIndex struct {
 	queries, probes, hits uint64
 }
 
-// newPlaceIndex builds the index for the pool under the current placement.
-func newPlaceIndex(p *cloud.Placement, pms []cloud.PM, spec fitSpec) *placeIndex {
-	ordered := append([]cloud.PM(nil), pms...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	ids := make([]int, len(ordered))
-	for i, pm := range ordered {
-		ids[i] = pm.ID
-	}
-	ix := &placeIndex{
-		pms:  ordered,
-		pos:  cloud.NewIDIndex(ids),
-		tree: fitindex.NewMaxTree(len(ordered)),
-		spec: spec,
-	}
-	for i, pm := range ordered {
-		ix.tree.Set(i, spec.score(p, pm))
+// newPlaceIndex builds the index for the placement's pool under its current
+// host sets.
+func newPlaceIndex(p *cloud.Placement, spec fitSpec) *placeIndex {
+	ix := &placeIndex{tree: fitindex.NewMaxTree(p.NumPMs()), spec: spec}
+	for i := 0; i < p.NumPMs(); i++ {
+		ix.tree.Set(i, spec.score(p, p.PMAt(i)))
 	}
 	return ix
 }
 
-// posOf returns the tree position of a PM id.
-func (ix *placeIndex) posOf(pmID int) (int, bool) { return ix.pos.Pos(pmID) }
-
 // refresh recomputes one PM's score after its host set changed.
 func (ix *placeIndex) refresh(p *cloud.Placement, pmID int) {
-	if i, ok := ix.posOf(pmID); ok {
-		ix.tree.Set(i, ix.spec.score(p, ix.pms[i]))
+	if i, ok := p.PosOf(pmID); ok {
+		ix.tree.Set(i, ix.spec.score(p, p.PMAt(i)))
 	}
 }
 
@@ -106,14 +90,14 @@ func (ix *placeIndex) refreshAll(p *cloud.Placement) {
 // at every worker count because each slot's value is a pure function of the
 // placement.
 func (ix *placeIndex) refreshAllParallel(p *cloud.Placement, workers int) {
-	m := len(ix.pms)
+	m := p.NumPMs()
 	if cap(ix.scratch) < m {
 		ix.scratch = make([]float64, m)
 	}
 	scores := ix.scratch[:m]
 	parallelRanges(m, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			scores[i] = ix.spec.score(p, ix.pms[i])
+			scores[i] = ix.spec.score(p, p.PMAt(i))
 		}
 	})
 	ix.tree.Fill(scores)
@@ -134,7 +118,7 @@ func (ix *placeIndex) refreshPositions(p *cloud.Placement, positions []int, work
 	vals := ix.scratch[:n]
 	parallelRanges(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			vals[i] = ix.spec.score(p, ix.pms[positions[i]])
+			vals[i] = ix.spec.score(p, p.PMAt(positions[i]))
 		}
 	})
 	for i, pos := range positions {
@@ -190,11 +174,11 @@ func (ix *placeIndex) firstFit(p *cloud.Placement, vm cloud.VM, admit func(pmID 
 			return 0, false
 		}
 		ix.probes++
-		if admit(ix.pms[i].ID) {
+		if pmID := p.PMAt(i).ID; admit(pmID) {
 			if first {
 				ix.hits++
 			}
-			return ix.pms[i].ID, true
+			return pmID, true
 		}
 		first = false
 		from = i + 1
@@ -216,16 +200,14 @@ func (ix *placeIndex) emit(tr telemetry.Tracer, strategy string) {
 }
 
 // firstFitIndexed is the indexed counterpart of firstFit: same placements,
-// O(log m) per VM instead of O(m).
+// O(log m) per VM instead of O(m). Like firstFit it expects a fleet its
+// caller has already passed through cloud.ValidateVMs.
 func firstFitIndexed(vms []cloud.VM, pms []cloud.PM, admit admission, spec fitSpec, tr telemetry.Tracer, strategy string) (*Result, error) {
-	if err := cloud.ValidateVMs(vms); err != nil {
-		return nil, err
-	}
 	placement, err := cloud.NewPlacement(pms)
 	if err != nil {
 		return nil, err
 	}
-	ix := newPlaceIndex(placement, pms, spec)
+	ix := newPlaceIndex(placement, spec)
 	var unplaced []cloud.VM
 	for _, vm := range vms {
 		pmID, ok := ix.firstFit(placement, vm, func(pmID int) bool {

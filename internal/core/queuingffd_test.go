@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -206,6 +209,120 @@ func TestQueuingFFDNumClustersOverride(t *testing.T) {
 	}
 	if got := small.numClusters(80); got != 10 {
 		t.Errorf("numClusters(80) = %d, want 10", got)
+	}
+}
+
+// referenceOrder is Algorithm 2 lines 7–9 written the straightforward way —
+// equal-width R_e buckets grown by append, stable reflective sorts — against
+// which the allocation-free cluster.ByRangeBuckets / SortForPlacement pair
+// behind QueuingFFD.Order is pinned.
+func referenceOrder(vms []cloud.VM, numBuckets int) []cloud.VM {
+	minRe, maxRe := vms[0].Re, vms[0].Re
+	for _, v := range vms {
+		minRe, maxRe = math.Min(minRe, v.Re), math.Max(maxRe, v.Re)
+	}
+	buckets := [][]cloud.VM{append([]cloud.VM(nil), vms...)}
+	if numBuckets > 1 && maxRe != minRe {
+		width := (maxRe - minRe) / float64(numBuckets)
+		all := make([][]cloud.VM, numBuckets)
+		for _, v := range vms {
+			idx := int((v.Re - minRe) / width)
+			if idx >= numBuckets {
+				idx = numBuckets - 1
+			}
+			all[idx] = append(all[idx], v)
+		}
+		buckets = buckets[:0]
+		for _, b := range all {
+			if len(b) > 0 {
+				buckets = append(buckets, b)
+			}
+		}
+	}
+	bucketMaxRe := func(b []cloud.VM) float64 {
+		m := 0.0
+		for _, v := range b {
+			m = math.Max(m, v.Re)
+		}
+		return m
+	}
+	bucketMinID := func(b []cloud.VM) int {
+		m := b[0].ID
+		for _, v := range b {
+			m = min(m, v.ID)
+		}
+		return m
+	}
+	sort.SliceStable(buckets, func(i, j int) bool {
+		if mi, mj := bucketMaxRe(buckets[i]), bucketMaxRe(buckets[j]); mi != mj {
+			return mi > mj
+		}
+		return bucketMinID(buckets[i]) < bucketMinID(buckets[j])
+	})
+	var flat []cloud.VM
+	for _, b := range buckets {
+		sort.SliceStable(b, func(i, j int) bool {
+			if b[i].Rb != b[j].Rb {
+				return b[i].Rb > b[j].Rb
+			}
+			return b[i].ID < b[j].ID
+		})
+		flat = append(flat, b...)
+	}
+	return flat
+}
+
+// TestOrderMatchesReference: the no-growth, non-stable-sort Order returns
+// exactly the reference sequence, on random fleets, on fleets of few distinct
+// R_e / R_b values (long runs of ties, so only the id tie-break orders them),
+// on all-equal R_e (the single-cluster shortcut), on one forced bucket and on
+// shuffled, non-contiguous ids — and leaves its input untouched.
+func TestOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	levels := []float64{2, 5, 5.5, 11, 20}
+	fleets := map[string]func(n int) []cloud.VM{
+		"random": func(n int) []cloud.VM { vms, _ := randomFleet(rng, n); return vms },
+		"few levels": func(n int) []cloud.VM {
+			vms := make([]cloud.VM, n)
+			for i := range vms {
+				vms[i] = mkVM(i, levels[rng.Intn(len(levels))], levels[rng.Intn(len(levels))])
+			}
+			return vms
+		},
+		"equal Re": func(n int) []cloud.VM {
+			vms := make([]cloud.VM, n)
+			for i := range vms {
+				vms[i] = mkVM(i, levels[rng.Intn(len(levels))], 7)
+			}
+			return vms
+		},
+		"shuffled sparse ids": func(n int) []cloud.VM {
+			vms, _ := randomFleet(rng, n)
+			for i, at := range rng.Perm(n) {
+				vms[i].ID = 1000 + 37*at
+			}
+			return vms
+		},
+	}
+	for name, gen := range fleets {
+		for _, n := range []int{1, 2, 7, 8, 9, 64, 500} {
+			for _, numClusters := range []int{0, 1, 3, n + 5} {
+				vms := gen(n)
+				input := append([]cloud.VM(nil), vms...)
+				s := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, NumClusters: numClusters}
+				got, err := s.Order(vms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceOrder(input, s.numClusters(n))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d clusters=%d: Order diverges from the reference\n got %v\nwant %v", name, n, numClusters, got, want)
+				}
+				if !slices.Equal(vms, input) {
+					t.Fatalf("%s n=%d clusters=%d: Order mutated its input", name, n, numClusters)
+				}
+			}
+		}
 	}
 }
 

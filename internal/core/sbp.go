@@ -38,6 +38,9 @@ func (s EffectiveSizing) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) 
 	if s.Epsilon <= 0 || s.Epsilon > 0.5 {
 		return nil, fmt.Errorf("core: SBP epsilon = %v outside (0, 0.5]", s.Epsilon)
 	}
+	if err := cloud.ValidateVMs(vms); err != nil {
+		return nil, err
+	}
 	z := normalQuantile(1 - s.Epsilon)
 	ordered := sortByDecreasing(vms, func(v cloud.VM) float64 { return demandMean(v) })
 	return firstFit(ordered, pms, func(p *cloud.Placement, vm cloud.VM, pmID int) bool {

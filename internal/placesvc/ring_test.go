@@ -3,6 +3,8 @@ package placesvc
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -81,6 +83,67 @@ func TestSnapshotAdoption(t *testing.T) {
 	}
 	if want := int(preSwap.Stats().Placed); p.NumVMs() != want {
 		t.Errorf("pre-swap snapshot materialised %d VMs, want %d", p.NumVMs(), want)
+	}
+}
+
+// A reader-materialised placement that a commit adopts as the next base is
+// shared by every later snapshot of that epoch, each of which clones it and
+// replays its own ring window on the clone. With host lists stored as slices,
+// a replay that shifted or appended in place through a shared backing array
+// would rewrite the base — and every earlier materialisation — under its
+// readers. Churn a small pool (several VMs per PM, departures from the middle
+// of host lists, refills), materialise every version, and check that no
+// materialisation ever changes after it was taken and that the newest equals
+// the live placement.
+func TestAdoptedBaseNeverWrittenThrough(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc := newServiceT(t, Config{PMs: mkPool(40, 100), MaxBatch: 1, Registry: reg})
+	fingerprint := func(p *cloud.Placement) string {
+		s := fmt.Sprint(p.NumVMs(), p.UsedPMs())
+		for _, pmID := range p.UsedPMs() {
+			s += fmt.Sprint(p.VMsOn(pmID), math.Float64bits(p.SumRb(pmID)), math.Float64bits(p.MaxRe(pmID)))
+		}
+		return s
+	}
+	type taken struct {
+		p    *cloud.Placement
+		want string
+	}
+	var seen []taken
+	observe := func() {
+		p, err := svc.Snapshot().Placement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, taken{p, fingerprint(p)})
+	}
+	rng := rand.New(rand.NewSource(5))
+	var live []int
+	for id := 0; id < 10*rebuildMinOps; id++ {
+		if len(live) > 150 || (len(live) > 60 && rng.Intn(2) == 0) {
+			k := rng.Intn(len(live))
+			if err := svc.Depart(live[k]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:k], live[k+1:]...)
+			observe()
+		}
+		if _, err := svc.Arrive(mkVM(id, 1+4*rng.Float64(), 1+4*rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+		observe()
+	}
+	if got := reg.Snapshot().Counters["placesvc_snapshot_adoptions_total"]; got < 3 {
+		t.Fatalf("only %d adoptions: the test did not exercise adopted bases", got)
+	}
+	for i, s := range seen {
+		if got := fingerprint(s.p); got != s.want {
+			t.Fatalf("materialisation %d of %d changed after it was taken", i, len(seen))
+		}
+	}
+	if got, want := seen[len(seen)-1].want, fingerprint(svc.online.Placement()); got != want {
+		t.Errorf("newest snapshot diverges from the live placement:\n got %s\nwant %s", got, want)
 	}
 }
 
