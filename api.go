@@ -234,7 +234,7 @@ func SharedTables() *TableCache { return queuing.SharedTables() }
 type (
 	// AdmissionService is the concurrent group-commit front-end over Online:
 	// many callers submit arrivals/departures, one of them at a time commits
-	// a batch, reads run lock-free against immutable snapshots.
+	// a batch, reads run against immutable snapshots the readers build.
 	AdmissionService = placesvc.Service
 	// AdmissionConfig parameterises an AdmissionService.
 	AdmissionConfig = placesvc.Config
@@ -255,7 +255,7 @@ func NewAdmissionService(cfg AdmissionConfig) (*AdmissionService, error) {
 // Federated admission serving (internal/shardsvc).
 type (
 	// Federation fronts several independent AdmissionService shards with
-	// power-of-d-choices routing over their lock-free snapshots, plus a
+	// power-of-d-choices routing over their headroom counters, plus a
 	// background rebalancer migrating VMs when shard headroom skews.
 	Federation = shardsvc.Federation
 	// FederationConfig parameterises a Federation.

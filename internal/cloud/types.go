@@ -7,6 +7,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/markov"
 )
@@ -78,32 +79,56 @@ func (p PM) Validate() error {
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// ValidateVMs checks a fleet for individual validity and unique IDs.
+// ValidateVMs checks a fleet for individual validity and unique IDs. An
+// invalid spec anywhere in the fleet is reported before any duplicate, and of
+// several duplicated ids the smallest is named.
 func ValidateVMs(vms []VM) error {
-	seen := make(map[int]bool, len(vms))
 	for _, v := range vms {
 		if err := v.Validate(); err != nil {
 			return err
 		}
-		if seen[v.ID] {
-			return fmt.Errorf("cloud: duplicate VM id %d", v.ID)
-		}
-		seen[v.ID] = true
+	}
+	if id, dup := duplicateID(len(vms), func(i int) int { return vms[i].ID }); dup {
+		return fmt.Errorf("cloud: duplicate VM id %d", id)
 	}
 	return nil
 }
 
-// ValidatePMs checks a pool for individual validity and unique IDs.
+// ValidatePMs checks a pool for individual validity and unique IDs, with the
+// error precedence of ValidateVMs.
 func ValidatePMs(pms []PM) error {
-	seen := make(map[int]bool, len(pms))
 	for _, p := range pms {
 		if err := p.Validate(); err != nil {
 			return err
 		}
-		if seen[p.ID] {
-			return fmt.Errorf("cloud: duplicate PM id %d", p.ID)
-		}
-		seen[p.ID] = true
+	}
+	if id, dup := duplicateID(len(pms), func(i int) int { return pms[i].ID }); dup {
+		return fmt.Errorf("cloud: duplicate PM id %d", id)
 	}
 	return nil
+}
+
+// duplicateID reports the smallest of the n ids that occurs more than once.
+// Strictly ascending ids — any generated or id-sorted fleet — are recognised
+// in one pass without a copy; otherwise a copy is sorted and its neighbours
+// compared.
+func duplicateID(n int, id func(i int) int) (int, bool) {
+	ascending := true
+	for i := 1; i < n && ascending; i++ {
+		ascending = id(i-1) < id(i)
+	}
+	if ascending {
+		return 0, false
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = id(i)
+	}
+	slices.Sort(ids)
+	for i := 1; i < n; i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
 }

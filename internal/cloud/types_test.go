@@ -1,7 +1,9 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/markov"
@@ -114,5 +116,56 @@ func TestValidatePMsDuplicates(t *testing.T) {
 	}
 	if err := ValidatePMs([]PM{{ID: 1, Capacity: -3}}); err == nil {
 		t.Error("invalid PM accepted")
+	}
+}
+
+// The duplicate check sorts ids instead of keeping a set: its verdict and the
+// error's format must not depend on where the duplicates sit or on the input
+// order, an invalid spec anywhere wins over any duplicate, and the smallest
+// duplicated id is the one named. Each case runs through both validators.
+func TestValidateDuplicateIDs(t *testing.T) {
+	cases := []struct {
+		name    string
+		ids     []int
+		invalid int // index whose spec is made invalid, -1 for none
+		want    string
+	}{
+		{"empty fleet", nil, -1, ""},
+		{"single element", []int{4}, -1, ""},
+		{"none, sorted", []int{1, 2, 5, 9}, -1, ""},
+		{"none, unsorted", []int{9, 2, 5, 1}, -1, ""},
+		{"duplicate first, sorted", []int{1, 1, 2, 5}, -1, "1"},
+		{"duplicate last, sorted", []int{1, 2, 5, 5}, -1, "5"},
+		{"duplicate first and last, unsorted", []int{7, 2, 5, 7}, -1, "7"},
+		{"several, smallest named", []int{8, 3, 8, 6, 3, 6}, -1, "3"},
+		{"triple", []int{2, 2, 2}, -1, "2"},
+		{"invalid after the duplicate", []int{1, 1, 2}, 2, "invalid"},
+		{"invalid alone", []int{3}, 0, "invalid"},
+	}
+	for _, c := range cases {
+		vms := make([]VM, len(c.ids))
+		pms := make([]PM, len(c.ids))
+		for i, id := range c.ids {
+			vms[i], pms[i] = validVM(id), PM{ID: id, Capacity: 10}
+			if i == c.invalid {
+				vms[i].Rb, pms[i].Capacity = -1, -1
+			}
+		}
+		for kind, err := range map[string]error{"VM": ValidateVMs(vms), "PM": ValidatePMs(pms)} {
+			switch {
+			case c.want == "":
+				if err != nil {
+					t.Errorf("%s, %ss: unique ids rejected: %v", c.name, kind, err)
+				}
+			case c.want == "invalid":
+				if err == nil || strings.Contains(err.Error(), "duplicate") {
+					t.Errorf("%s, %ss: got %v, want the invalid spec's error", c.name, kind, err)
+				}
+			default:
+				if want := fmt.Sprintf("cloud: duplicate %s id %s", kind, c.want); err == nil || err.Error() != want {
+					t.Errorf("%s, %ss: got %v, want %q", c.name, kind, err, want)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -26,6 +25,8 @@ type Online struct {
 	// Arrive/Depart (nil under PlacerLinear). Its scoring closure reads
 	// o.table at call time, so RefreshTable only has to rescore, not rebuild.
 	index *placeIndex
+	// positions is RefreshPMs' reused scratch: the batch's tree positions.
+	positions []int
 
 	// Workers caps how many goroutines the bulk rescoring paths —
 	// RefreshTable's whole-index rebuild and RefreshPMs' dirty-set rescore —
@@ -69,33 +70,47 @@ func (o *Online) Placement() *cloud.Placement { return o.place }
 func (o *Online) Table() *queuing.MappingTable { return o.table }
 
 // Arrive places one VM on the first PM satisfying Eq. (17) and returns the
-// chosen PM. It returns an error when no PM can admit the VM.
+// chosen PM. It returns an error wrapping cloud.ErrNoCapacity when no PM can
+// admit the VM.
 func (o *Online) Arrive(vm cloud.VM) (int, error) {
+	pmID, ok, err := o.TryArrive(vm)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: no PM can admit VM %d under Eq. (17): %w", vm.ID, cloud.ErrNoCapacity)
+	}
+	return pmID, err
+}
+
+// TryArrive is Arrive with pool exhaustion reported as ok == false instead of
+// an error value: a refusal is an ordinary outcome on a saturated pool, and a
+// caller that only counts or collects refusals — a batch commit — should not
+// pay for an error text nobody reads. err is reserved for an invalid VM or a
+// failed assignment (a duplicate id); ok is false whenever err is non-nil.
+func (o *Online) TryArrive(vm cloud.VM) (pmID int, ok bool, err error) {
 	if err := vm.Validate(); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if o.index != nil {
-		pmID, ok := o.index.firstFit(o.place, vm, func(pmID int) bool {
+		pmID, ok = o.index.firstFit(o.place, vm, func(pmID int) bool {
 			return o.strategy.admit(o.place, vm, pmID, o.table)
 		})
 		if !ok {
-			return 0, fmt.Errorf("core: no PM can admit VM %d under Eq. (17): %w", vm.ID, cloud.ErrNoCapacity)
+			return 0, false, nil
 		}
 		if err := o.place.Assign(vm, pmID); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		o.index.refresh(o.place, pmID)
-		return pmID, nil
+		return pmID, true, nil
 	}
 	for i := 0; i < o.place.NumPMs(); i++ {
 		if pmID := o.place.PMAt(i).ID; o.strategy.admit(o.place, vm, pmID, o.table) {
 			if err := o.place.Assign(vm, pmID); err != nil {
-				return 0, err
+				return 0, false, err
 			}
-			return pmID, nil
+			return pmID, true, nil
 		}
 	}
-	return 0, fmt.Errorf("core: no PM can admit VM %d under Eq. (17): %w", vm.ID, cloud.ErrNoCapacity)
+	return 0, false, nil
 }
 
 // Depart removes a VM; the PM's queue size shrinks implicitly because the
@@ -137,12 +152,13 @@ func (o *Online) RefreshPMs(pmIDs []int) {
 		o.index.refresh(o.place, pmIDs[0])
 		return
 	}
-	positions := make([]int, 0, len(pmIDs))
+	positions := o.positions[:0]
 	for _, id := range pmIDs {
 		if pos, ok := o.place.PosOf(id); ok {
 			positions = append(positions, pos)
 		}
 	}
+	o.positions = positions // keep the grown buffer for the next batch
 	sort.Ints(positions)
 	// Dedup in place: the same PM often sheds several VMs in one batch.
 	uniq := positions[:0]
@@ -169,10 +185,11 @@ func (o *Online) ArriveBatch(vms []cloud.VM) (unplaced []cloud.VM, err error) {
 		return nil, err
 	}
 	for _, vm := range ordered {
-		if _, err := o.Arrive(vm); err != nil {
-			if !errors.Is(err, cloud.ErrNoCapacity) {
-				return nil, err
-			}
+		_, ok, err := o.TryArrive(vm)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			unplaced = append(unplaced, vm)
 		}
 	}

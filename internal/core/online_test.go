@@ -196,8 +196,8 @@ func TestOnlineArriveBatchAbortsOnRealError(t *testing.T) {
 // TestOnlineSteadyStateAllocatesNothing: once the placement is warm — host
 // lists at their working capacity, the VM→position map grown — an admitted
 // arrival and its departure touch only slices, one map write and one map
-// delete. (The serving path's one remaining allocation per commit is the
-// published Snapshot in placesvc, by design.)
+// delete. (The serving path on top adds none either: placesvc publishes a
+// commit without building a Snapshot — see its TestCommitAllocatesNothing.)
 func TestOnlineSteadyStateAllocatesNothing(t *testing.T) {
 	o := newOnlineT(t, mkPool(50, 100))
 	rng := rand.New(rand.NewSource(3))
@@ -332,6 +332,123 @@ func TestOnlineRefreshPMsSinglePMFastPath(t *testing.T) {
 		fast.RefreshPMs(one)
 	}); allocs != 0 {
 		t.Errorf("DepartNoRefresh+RefreshPMs of one VM allocates %v times, want 0", allocs)
+	}
+}
+
+// The general RefreshPMs path — what a batched service departure pays —
+// collects, sorts and dedups the batch's tree positions in scratch the Online
+// keeps: once a first batch has sized it, a 64-VM DepartNoRefresh + RefreshPMs
+// round (re-arrivals included, so the fleet holds its size) allocates nothing.
+func TestOnlineRefreshPMsBatchAllocatesNothing(t *testing.T) {
+	const batch = 64
+	o := newOnlineT(t, mkPool(40, 100))
+	next := 0
+	for ; next < 4*batch; next++ {
+		if _, err := o.Arrive(mkVM(next, 5, 5)); err != nil {
+			t.Fatalf("arrival %d rejected: %v", next, err)
+		}
+	}
+	dirty := make([]int, 0, batch)
+	round := func() {
+		dirty = dirty[:0]
+		for id := next - 4*batch; id < next-3*batch; id++ { // the 64 oldest
+			pmID, err := o.DepartNoRefresh(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty = append(dirty, pmID)
+		}
+		o.RefreshPMs(dirty)
+		for end := next + batch; next < end; next++ {
+			if _, err := o.Arrive(mkVM(next, 5, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // host lists, the id map and the scratch at working size
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a 64-VM DepartNoRefresh+RefreshPMs round allocates %v times, want 0", allocs)
+	}
+	// The rescored index is the one a fresh build over the placement gives.
+	fresh := newPlaceIndex(o.place, o.index.spec)
+	for i := 0; i < fresh.tree.Len(); i++ {
+		if got, want := o.index.tree.Get(i), fresh.tree.Get(i); got != want {
+			t.Errorf("pos %d: batch-rescored %v, fresh index %v", i, got, want)
+		}
+	}
+}
+
+// TryArrive is Arrive with a refusal as a plain outcome: over a stream that
+// fills a small pool and keeps offering VMs — invalid ones and a duplicate id
+// among them — both must choose the same PM, leave the same placement, fail
+// with the same error on an invalid or duplicate VM, and TryArrive must say
+// ok == false with no error exactly when Arrive wraps cloud.ErrNoCapacity.
+func TestTryArriveMatchesArrive(t *testing.T) {
+	for _, placer := range []Placer{PlacerIndexed, PlacerLinear} {
+		strategy := paperQueue()
+		strategy.Placer = placer
+		pms := mkPool(6, 100)
+		viaArrive, err := NewOnline(strategy, pms, 0.01, 0.09)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaTry, err := NewOnline(strategy, pms, 0.01, 0.09)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(21))
+		refused, invalid := 0, 0
+		for step := 0; step < 300; step++ {
+			vm := mkVM(step, 2+30*rng.Float64(), 2+18*rng.Float64())
+			switch {
+			case step%37 == 5:
+				vm.Rb = -1 // invalid spec
+			case step%41 == 7:
+				vm.ID = 0 // VM 0 is placed first and never departs: a duplicate
+			case step%3 == 2 && step > 40:
+				id := step - 40 // churn, so refusals and admissions interleave
+				errA, errT := viaArrive.Depart(id), viaTry.Depart(id)
+				if (errA == nil) != (errT == nil) {
+					t.Fatalf("placer %d step %d: depart(%d) %v vs %v", placer, step, id, errA, errT)
+				}
+			}
+			pmA, errA := viaArrive.Arrive(vm)
+			pmT, ok, errT := viaTry.TryArrive(vm)
+			switch {
+			case errA == nil:
+				if !ok || errT != nil || pmT != pmA {
+					t.Fatalf("placer %d step %d: Arrive placed VM %d on PM %d, TryArrive gave (%d, %v, %v)",
+						placer, step, vm.ID, pmA, pmT, ok, errT)
+				}
+			case errors.Is(errA, cloud.ErrNoCapacity):
+				refused++
+				if ok || errT != nil {
+					t.Fatalf("placer %d step %d: Arrive refused VM %d, TryArrive gave (%d, %v, %v)",
+						placer, step, vm.ID, pmT, ok, errT)
+				}
+			default:
+				invalid++
+				if ok || errT == nil || errT.Error() != errA.Error() {
+					t.Fatalf("placer %d step %d: Arrive failed with %q, TryArrive gave (%v, %v)",
+						placer, step, errA, ok, errT)
+				}
+			}
+		}
+		if refused == 0 || invalid < 2 {
+			t.Fatalf("placer %d: %d refusals, %d other failures: the stream exercised too little", placer, refused, invalid)
+		}
+		a, b := viaArrive.Placement(), viaTry.Placement()
+		if a.NumVMs() != b.NumVMs() {
+			t.Fatalf("placer %d: %d VMs via Arrive, %d via TryArrive", placer, a.NumVMs(), b.NumVMs())
+		}
+		for _, vm := range a.VMs() {
+			pmA, _ := a.PMOf(vm.ID)
+			if pmB, ok := b.PMOf(vm.ID); !ok || pmB != pmA {
+				t.Errorf("placer %d: VM %d on PM %d via Arrive, PM %d (present %v) via TryArrive", placer, vm.ID, pmA, pmB, ok)
+			}
+		}
 	}
 }
 

@@ -109,7 +109,13 @@ func (ix *placeIndex) refreshAllParallel(p *cloud.Placement, workers int) {
 // contain duplicates (callers dedup); order does not affect the result.
 func (ix *placeIndex) refreshPositions(p *cloud.Placement, positions []int, workers int) {
 	n := len(positions)
-	if n == 0 {
+	if rangeWorkers(n, workers) < 2 {
+		// No fan-out — any batch under 2·parallelRangeMin PMs: score and set
+		// in one pass. Same tree (a score never reads it), and no closure for
+		// parallelRanges to move to the heap on every departure batch.
+		for _, pos := range positions {
+			ix.tree.Set(pos, ix.spec.score(p, p.PMAt(pos)))
+		}
 		return
 	}
 	if cap(ix.scratch) < n {
@@ -130,13 +136,17 @@ func (ix *placeIndex) refreshPositions(p *cloud.Placement, positions []int, work
 // it the fork/join overhead dwarfs the scoring work.
 const parallelRangeMin = 256
 
+// rangeWorkers is how many goroutines parallelRanges gives n items: at most
+// workers, each with at least parallelRangeMin items; below 2 it runs inline.
+func rangeWorkers(n, workers int) int {
+	return min(workers, n/parallelRangeMin)
+}
+
 // parallelRanges partitions [0, n) into contiguous ranges and runs fn on one
 // goroutine per range — inline when a single worker (or a tiny n) makes the
 // fan-out pointless. fn must only write state disjoint per range.
 func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers > n/parallelRangeMin {
-		workers = n / parallelRangeMin
-	}
+	workers = rangeWorkers(n, workers)
 	if workers < 2 {
 		fn(0, n)
 		return

@@ -44,17 +44,26 @@ func NewMaxTree(n int) *MaxTree {
 // Len returns the number of positions.
 func (t *MaxTree) Len() int { return t.n }
 
-// Set updates the score at position i.
+// Set updates the score at position i. It returns at once when the leaf
+// already held an equal score and stops climbing at the first ancestor whose
+// maximum does not change — every node above it depends on the leaf only
+// through that maximum, so every query answers as after a walk to the root.
 func (t *MaxTree) Set(i int, score float64) {
 	p := t.size + i
+	old := t.max[p]
 	t.max[p] = score
+	if old == score {
+		return
+	}
 	for p >>= 1; p >= 1; p >>= 1 {
-		l, r := t.max[2*p], t.max[2*p+1]
-		if l >= r {
-			t.max[p] = l
-		} else {
-			t.max[p] = r
+		m := t.max[2*p+1]
+		if l := t.max[2*p]; l >= m {
+			m = l
 		}
+		if t.max[p] == m {
+			return
+		}
+		t.max[p] = m
 	}
 }
 
@@ -167,12 +176,21 @@ func (t *MinTree) pull(p int) {
 	}
 }
 
-// Set updates the value at position i.
+// Set updates the value at position i, with the early exits of MaxTree.Set:
+// an unchanged leaf returns at once, and the climb stops at the first ancestor
+// whose (min, arg) pair does not change.
 func (t *MinTree) Set(i int, v float64) {
 	p := t.size + i
+	old := t.min[p]
 	t.min[p] = v
+	if old == v {
+		return
+	}
 	for p >>= 1; p >= 1; p >>= 1 {
-		t.pull(p)
+		m, a := t.min[p], t.arg[p]
+		if t.pull(p); t.min[p] == m && t.arg[p] == a {
+			return
+		}
 	}
 }
 

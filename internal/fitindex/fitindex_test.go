@@ -237,3 +237,100 @@ func TestMinTreeAddTracksDeltas(t *testing.T) {
 		t.Fatalf("Get(1) = %v, want 0.5", got)
 	}
 }
+
+// fullWalkSetMax and fullWalkSetMin are the from-scratch references for the
+// early-exit Sets: write the leaf, then recompute every ancestor up to the
+// root, unconditionally.
+func fullWalkSetMax(t *MaxTree, i int, score float64) {
+	p := t.size + i
+	t.max[p] = score
+	for p >>= 1; p >= 1; p >>= 1 {
+		l, r := t.max[2*p], t.max[2*p+1]
+		if l >= r {
+			t.max[p] = l
+		} else {
+			t.max[p] = r
+		}
+	}
+}
+
+func fullWalkSetMin(t *MinTree, i int, v float64) {
+	p := t.size + i
+	t.min[p] = v
+	for p >>= 1; p >= 1; p >>= 1 {
+		t.pull(p)
+	}
+}
+
+// The early-exit Sets must leave every node — not just every query answer —
+// exactly where a full walk to the root leaves it, over random Set /
+// FirstAtLeast / Ascend / Fill sequences. Values come from a handful of
+// levels plus ±Inf, so equal rewrites, ties (which MinTree breaks toward the
+// smaller position) and excluded leaves are all frequent; n covers one leaf,
+// powers of two and the padded sizes in between.
+func TestSetEarlyExitMatchesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	levels := []float64{NegInf, PosInf, 0, 1, 1, 2, 3.5, 7, 7, 100}
+	draw := func() float64 { return levels[rng.Intn(len(levels))] }
+	type visit struct {
+		pos int
+		val float64
+	}
+	ascend := func(tr *MinTree, limit int) []visit {
+		var out []visit
+		tr.Ascend(nil, func(pos int, val float64) bool {
+			out = append(out, visit{pos, val})
+			return len(out) < limit
+		})
+		return out
+	}
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 100, 257} {
+		fastMax, refMax := NewMaxTree(n), NewMaxTree(n)
+		fastMin, refMin := NewMinTree(n), NewMinTree(n)
+		vals := make([]float64, n)
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				i, v := rng.Intn(n), draw()
+				fastMax.Set(i, v)
+				fullWalkSetMax(refMax, i, v)
+				fastMin.Set(i, v)
+				fullWalkSetMin(refMin, i, v)
+			case r < 15:
+				from, need := rng.Intn(n+2)-1, draw()
+				if got, want := fastMax.FirstAtLeast(from, need), refMax.FirstAtLeast(from, need); got != want {
+					t.Fatalf("n=%d op %d: FirstAtLeast(%d, %v) = %d, full walk %d", n, op, from, need, got, want)
+				}
+			case r < 18:
+				limit := 1 + rng.Intn(n+1)
+				got, want := ascend(fastMin, limit), ascend(refMin, limit)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d op %d: Ascend visited %d positions, full walk %d", n, op, len(got), len(want))
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d op %d: Ascend[%d] = %+v, full walk %+v", n, op, k, got[k], want[k])
+					}
+				}
+			default:
+				for i := range vals {
+					vals[i] = draw()
+				}
+				short := vals[:rng.Intn(n+1)] // positions past it become ∓Inf
+				fastMax.Fill(short)
+				refMax.Fill(short)
+				fastMin.Fill(short)
+				refMin.Fill(short)
+			}
+			for p := 1; p < 2*fastMax.size; p++ {
+				if fastMax.max[p] != refMax.max[p] {
+					t.Fatalf("n=%d op %d: MaxTree node %d = %v, full walk %v", n, op, p, fastMax.max[p], refMax.max[p])
+				}
+				if fastMin.min[p] != refMin.min[p] || fastMin.arg[p] != refMin.arg[p] {
+					t.Fatalf("n=%d op %d: MinTree node %d = (%v, %d), full walk (%v, %d)",
+						n, op, p, fastMin.min[p], fastMin.arg[p], refMin.min[p], refMin.arg[p])
+				}
+			}
+		}
+	}
+}

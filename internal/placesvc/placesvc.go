@@ -2,7 +2,7 @@
 // online consolidation scheme: many concurrent callers submit VM arrivals and
 // departures, one of them at a time — the leader — commits a batch of them
 // through a group-commit pipeline on its own goroutine, and monitoring reads
-// run lock-free against an atomically-swapped immutable snapshot.
+// run against immutable snapshots that the readers, not the commits, build.
 //
 // The service owns no goroutine. A caller that finds nobody leading becomes
 // the leader (the write-group protocol of LevelDB/RocksDB): it commits its
@@ -21,8 +21,18 @@
 // refreshes last (they observe the post-commit fleet). The per-PM halves of a
 // commit — rescoring the PMs a departure phase touched and rebuilding the
 // whole index after a refresh — fan out over Config.Workers goroutines with a
-// deterministic merge; snapshots publish through a lock-free op ring (see
-// ring.go) so monitoring reads never cost the commit path a clone.
+// deterministic merge.
+//
+// A steady-state commit allocates nothing beyond its share of the op ring
+// (one chunk per 256 ops). It publishes by overwriting a fixed-size cell — the
+// stats block and a window into the append-only op ring (see ring.go) — and
+// the first reader to ask for that version builds the Snapshot object from it
+// (see Service.Snapshot); the per-arrival readers — the admission gate here,
+// the shardsvc router — read plain counters instead. A reader never waits for
+// commit work and a commit never waits for a reader: the only critical
+// section they share is that field copy. Batch ordering relinks through
+// reused scratch, and a refused VM is an ordinary outcome
+// (core.Online.TryArrive), not an error value built to be dropped.
 //
 // Determinism contract: placements depend only on the order in which requests
 // commit, and commit order is queue order. With MaxBatch = 1, or with a single
@@ -34,10 +44,12 @@
 package placesvc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,8 +234,8 @@ type Stats struct {
 }
 
 // Service is the concurrent admission front-end. All mutation methods are
-// safe for concurrent use and block until their request commits; Snapshot and
-// Stats never block on a commit.
+// safe for concurrent use and block until their request commits; Snapshot,
+// Stats, Headroom and Occupancy never block on a commit.
 type Service struct {
 	strategy core.QueuingFFD
 	online   *core.Online
@@ -241,15 +253,25 @@ type Service struct {
 	pool    sync.Pool
 
 	// Owned by the current leader; the hand-off under mu orders successive ones.
-	stats Stats
-	base  *cloud.Placement // immutable snapshot base
-	ring  *opRing          // lock-free op log since base (see ring.go)
-	batch []*request       // the leader's own request, then the followers it took
-	arrs  []arrival        // reused per-commit scratch
-	avms  []cloud.VM       // reused per-commit scratch
-	dirty []int            // reused per-commit scratch: PMs touched by departures
+	stats   Stats
+	base    *cloud.Placement // immutable snapshot base
+	ring    *opRing          // op log since base (see ring.go)
+	batch   []*request       // the leader's own request, then the followers it took
+	arrs    []arrival        // reused per-commit scratch
+	avms    []cloud.VM       // reused per-commit scratch
+	links   []link           // reused per-commit scratch: order's relink index
+	ordered []arrival        // reused per-commit scratch: order's result
+	dirty   []int            // reused per-commit scratch: PMs touched by departures
 
-	snap atomic.Pointer[Snapshot] // the published snapshot cell
+	// Publication (see publish and Snapshot in snapshot.go). cellMu guards
+	// cell and orders the writes of version and handed; nothing but the
+	// leader's copy into the cell and a reader's copy out of it ever runs
+	// under it — no allocation, clone, replay or metric call.
+	cellMu  sync.Mutex
+	cell    view
+	version atomic.Uint64            // cell.stats.Version, for Snapshot's lock-free repeat read
+	handed  atomic.Pointer[Snapshot] // the newest Snapshot handed to a reader, built from cell
+	vms     atomic.Int64             // the committed VM count, for Headroom and Occupancy
 
 	metrics *svcMetrics
 	obs     *obs.Plane
@@ -257,8 +279,7 @@ type Service struct {
 	// Admission layer. policy is nil when no Admission config was given;
 	// admMu serialises Decide (policies are single-writer) and guards
 	// shedEwma. slots is the fleet's total VM-slot count (PMs ×
-	// MaxVMsPerPM), stamped into every snapshot so Occupancy/Headroom reads
-	// are O(1).
+	// MaxVMsPerPM), fixed at construction.
 	admMu    sync.Mutex
 	policy   *admission.Pipeline
 	admCfg   *admission.Config
@@ -277,6 +298,11 @@ type arrival struct {
 	vm  cloud.VM
 	req *request
 }
+
+// link is one entry of order's relink index: the arrival at position pos of
+// the commit carries VM id. On the first link of an id's run, used counts how
+// many of the run's arrivals the ordered VMs have claimed so far.
+type link struct{ id, pos, used int }
 
 // New builds the service. It starts no goroutine; Close drains and seals it.
 func New(cfg Config) (*Service, error) {
@@ -376,6 +402,12 @@ func (s *Service) place(ctx context.Context, vm cloud.VM, migrate bool) (int, er
 	}
 	pmID, err := r.pmID, r.err
 	s.put(r)
+	if err == cloud.ErrNoCapacity {
+		// The commit marks a refusal with the bare sentinel; its text — the
+		// one core.Online.Arrive gives, which the commit bypasses through
+		// TryArrive — is formatted here, on the goroutine that receives it.
+		err = fmt.Errorf("core: no PM can admit VM %d under Eq. (17): %w", vm.ID, err)
+	}
 	return pmID, err
 }
 
@@ -446,9 +478,9 @@ func (s *Service) DepartCtx(ctx context.Context, vmID int) error {
 // serialise under admMu: policies are single-writer, and the lock also makes
 // the wall-clock timestamps fed to the policy non-decreasing.
 func (s *Service) admit(cost int, class admission.Class) error {
-	// The published snapshot's O(1) occupancy summary — NaN on a slotless
-	// (empty-pool) service, which the gate treats as "no reading".
-	occ := s.snap.Load().Occupancy()
+	// NaN on a slotless (empty-pool) service, which the gate treats as "no
+	// reading".
+	occ := s.Occupancy()
 	s.admMu.Lock()
 	d := s.policy.Decide(admission.Request{
 		TimeNs:    time.Now().UnixNano(),
@@ -530,12 +562,26 @@ func (s *Service) RefreshTable() error {
 	return err
 }
 
-// Snapshot returns the immutable state published by the latest commit.
-// Reading it never blocks admission.
-func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
-
 // Stats returns the latest published counters.
-func (s *Service) Stats() Stats { return s.snap.Load().Stats() }
+func (s *Service) Stats() Stats {
+	s.cellMu.Lock()
+	st := s.cell.stats
+	s.cellMu.Unlock()
+	return st
+}
+
+// Slots returns the fleet's total Eq. (17) admission slots, PMs × MaxVMsPerPM.
+func (s *Service) Slots() int { return s.slots }
+
+// Headroom returns the free Eq. (17) slot count as of the latest commit —
+// Snapshot().Headroom() without building a snapshot: one atomic load. It is
+// what the shardsvc router's power-of-d choice reads on every arrival.
+func (s *Service) Headroom() int { return s.slots - int(s.vms.Load()) }
+
+// Occupancy returns the fleet slot occupancy VMs/Slots in [0, 1] as of the
+// latest commit, in the units the admission OccupancyGate thresholds on; NaN
+// when the service has no slots. Like Headroom, one atomic load.
+func (s *Service) Occupancy() float64 { return occupancy(int(s.vms.Load()), s.slots) }
 
 // QueueDepth returns the number of requests no leader has taken yet — an
 // instantaneous backpressure reading. Safe for concurrent use; the shardsvc
@@ -813,8 +859,9 @@ func (s *Service) commit(batch []*request) {
 		if r.fatal {
 			continue // a real error already aborted this batch request
 		}
-		pmID, err := s.online.Arrive(a.vm)
-		if err == nil {
+		pmID, ok, err := s.online.TryArrive(a.vm)
+		switch {
+		case ok:
 			s.ring.append(op{kind: reqArrive, vm: a.vm, pmID: pmID})
 			s.stats.Placed++
 			if s.metrics != nil {
@@ -823,26 +870,24 @@ func (s *Service) commit(batch []*request) {
 			if r.kind == reqArrive {
 				r.pmID = pmID
 			}
-			continue
-		}
-		if r.kind == reqArrive {
-			r.err = err
-			if errors.Is(err, cloud.ErrNoCapacity) && !r.migrate {
+		case err == nil:
+			// Pool exhausted. A batch collects the VM; a single arrival's
+			// caller gets the sentinel, bare — place dresses it.
+			if r.kind == reqArrive {
+				r.err = cloud.ErrNoCapacity
+			} else {
+				r.unplaced = append(r.unplaced, a.vm)
+			}
+			if !r.migrate {
 				s.stats.Rejected++
 				if s.metrics != nil {
 					s.metrics.rejections.Inc()
 				}
 			}
-			continue
-		}
-		// Batch member: exhaustion collects, anything else aborts the batch.
-		if errors.Is(err, cloud.ErrNoCapacity) {
-			r.unplaced = append(r.unplaced, a.vm)
-			s.stats.Rejected++
-			if s.metrics != nil {
-				s.metrics.rejections.Inc()
-			}
-		} else {
+		case r.kind == reqArrive:
+			r.err = err
+		default:
+			// Batch member: anything but exhaustion aborts the batch.
 			r.err = err
 			r.unplaced = nil
 			r.fatal = true
@@ -913,17 +958,24 @@ func (s *Service) order(arrs []arrival) []arrival {
 	}
 	// Re-link ordered VMs to their requests. Ids can repeat across a batch
 	// (the duplicate fails Assign later), so pair each ordered VM with the
-	// first not-yet-taken arrival of that id.
-	byID := make(map[int][]int, len(arrs))
+	// first not-yet-taken arrival of that id: in an index of the arrivals
+	// sorted by (id, position) a binary search finds the id's run, whose
+	// first link counts how far into the run earlier VMs have taken.
+	s.links = s.links[:0]
 	for i, a := range arrs {
-		byID[a.vm.ID] = append(byID[a.vm.ID], i)
+		s.links = append(s.links, link{id: a.vm.ID, pos: i})
 	}
-	out := make([]arrival, 0, len(arrs))
+	slices.SortFunc(s.links, func(a, b link) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
+	})
+	s.ordered = s.ordered[:0]
 	for _, vm := range ordered {
-		idxs := byID[vm.ID]
-		i := idxs[0]
-		byID[vm.ID] = idxs[1:]
-		out = append(out, arrs[i])
+		first, _ := slices.BinarySearchFunc(s.links, vm.ID, func(l link, id int) int {
+			return cmp.Compare(l.id, id)
+		})
+		run := &s.links[first]
+		s.ordered = append(s.ordered, arrs[s.links[first+run.used].pos])
+		run.used++
 	}
-	return out
+	return s.ordered
 }

@@ -1,21 +1,21 @@
 package placesvc
 
-// The snapshot op ring: a lock-free, single-writer, chunked append-only log
-// of committed mutations. It replaces the grow-append journal + commit-path
-// re-clone of earlier versions, whose two failure modes under load were
-// (a) append-time reallocation bursts copying the whole journal and (b) an
-// O(fleet) Placement.Clone inside the commit path every time the journal
-// outgrew the fleet.
+// The snapshot op ring: a single-writer, chunked append-only log of committed
+// mutations that readers replay without locks. It replaces the grow-append
+// journal + commit-path re-clone of earlier versions, whose two failure modes
+// under load were (a) append-time reallocation bursts copying the whole
+// journal and (b) an O(fleet) Placement.Clone inside the commit path every
+// time the journal outgrew the fleet.
 //
 // Concurrency model:
 //
 //   - The current leader is the only writer (the role hand-off orders
 //     successive leaders). It appends ops into fixed-size chunks linked
 //     through plain `next` pointers and never mutates an op slot twice.
-//   - Readers never touch the ring directly: they receive a *Snapshot through
-//     the service's atomic pointer. The atomic publish is the release/acquire
-//     edge that makes every op the snapshot references (head, skip, count)
-//     visible — no per-op atomics, no locks, no reader-side retries.
+//   - Readers never touch the ring directly: they copy a window (head, skip,
+//     count) out of the service's publication cell. The cell's lock is the
+//     release/acquire edge that makes every op the window references
+//     visible — no per-op atomics, no reader-side retries.
 //   - Reclamation is garbage collection: a chunk lives exactly as long as
 //     some snapshot (or the ring head) still references it. Nothing is ever
 //     truncated in place, so a years-old snapshot stays replayable.

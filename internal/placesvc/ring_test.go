@@ -187,7 +187,7 @@ func TestSnapshotCloneFallback(t *testing.T) {
 }
 
 // Concurrent readers materialising every published snapshot while writers
-// churn the fleet: the lock-free publication edge must survive the race
+// churn the fleet: the publication edge must survive the race
 // detector, and every materialisation must be internally consistent
 // (Stats().VMs == materialised VM count).
 func TestRingConcurrentReaders(t *testing.T) {

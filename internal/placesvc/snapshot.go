@@ -19,17 +19,43 @@ type op struct {
 	vmID int
 }
 
-// Snapshot is an immutable view of the service state as of one commit.
+// view is the fixed-size record a commit publishes: the stats block, the
+// mapping table in force, the shared immutable base placement, and a window
+// into the op ring — (head, skip, count) locating the ops committed since the
+// base, plus the append position at publish time (endChunk, endOff) so a
+// later commit can adopt a materialisation of this view as a new base. It is
+// all words and pointers: the leader overwrites the service's one cell with
+// it, a reader copies the cell into its Snapshot, and those copies are the
+// only work either ever does under the cell's lock.
+type view struct {
+	stats Stats
+	table *queuing.MappingTable
+	base  *cloud.Placement
+
+	// Ring window, relative to base: replay `count` ops starting at
+	// head.ops[skip]. epoch names the base lineage; endChunk/endOff is the
+	// ring's append position when this view was published.
+	head     *opChunk
+	skip     int
+	count    int
+	epoch    uint64
+	endChunk *opChunk
+	endOff   int
+}
+
+// Snapshot is an immutable, complete view of the service state as of one
+// commit.
 //
-// Publication is O(1) and allocation-light: the snapshot holds the stats
-// block, the current mapping table, a shared immutable base placement, and a
-// window into the lock-free op ring — (head, skip, count) locating the ops
-// committed since the base, plus the append position at publish time
-// (endChunk, endOff) so a later commit can adopt this snapshot's
-// materialisation as a new base. The service never clones on the commit
-// path while readers keep materialising: each materialised placement is
-// recycled as the next base (see Service.publish), so snapshot upkeep stays
-// O(1) per admission with no clone bursts.
+// The commit that publishes a version allocates nothing for it: it overwrites
+// the service's publication cell (see view). The *Snapshot is built by the
+// first reader to ask for that version — allocated outside the cell's lock,
+// filled from the cell under it — and shared with every later and concurrent
+// reader of it (see Service.Snapshot), so a service nobody reads never pays
+// for snapshots and a reader never waits for commit work: the only critical
+// section it shares with the leader is a fixed-size field copy. The service
+// never clones on the commit path while readers keep materialising: each
+// materialised placement is recycled as the next base (see Service.publish),
+// so snapshot upkeep stays O(1) per admission with no clone bursts.
 //
 // Placement and Overflows materialise the full placement on demand (clone
 // base, replay the ring window — O(fleet + count)) and memoise it, so
@@ -37,20 +63,8 @@ type op struct {
 // materialisation. None of this ever touches the live placement, so reads
 // never block — and are never blocked by — admission.
 type Snapshot struct {
-	stats Stats
-	table *queuing.MappingTable
-	base  *cloud.Placement
+	view
 	slots int // fleet slot count: PMs × MaxVMsPerPM, fixed at construction
-
-	// Ring window, relative to base: replay `count` ops starting at
-	// head.ops[skip]. epoch names the base lineage; endChunk/endOff is the
-	// ring's append position when this snapshot was published.
-	head     *opChunk
-	skip     int
-	count    int
-	epoch    uint64
-	endChunk *opChunk
-	endOff   int
 
 	once     sync.Once
 	mat      *cloud.Placement
@@ -77,22 +91,23 @@ func (s *Snapshot) Stats() Stats { return s.stats }
 func (s *Snapshot) Slots() int { return s.slots }
 
 // Headroom returns the free Eq. (17) slot count as of this snapshot:
-// Slots() minus the placed VMs. It is the O(1) load summary the shardsvc
-// router's power-of-d choice and the admission OccupancyGate read instead of
-// recomputing occupancy from a materialised placement — like Placement and
-// Overflows it is derived once per snapshot, but from the published stats
-// block alone, so reading it never replays the op ring.
+// Slots() minus the placed VMs, from the stats block alone — reading it never
+// replays the op ring. (The per-arrival readers — the shardsvc router and the
+// admission OccupancyGate — read Service.Headroom / Service.Occupancy, which
+// need no snapshot at all.)
 func (s *Snapshot) Headroom() int { return s.slots - s.stats.VMs }
 
 // Occupancy returns the fleet slot occupancy VMs/Slots in [0, 1] — the
 // denominator-normalised complement of Headroom, in the units the admission
 // OccupancyGate thresholds on. NaN when the service has no slots (an empty
 // PM pool), which the gate treats as "no reading".
-func (s *Snapshot) Occupancy() float64 {
-	if s.slots <= 0 {
+func (s *Snapshot) Occupancy() float64 { return occupancy(s.stats.VMs, s.slots) }
+
+func occupancy(vms, slots int) float64 {
+	if slots <= 0 {
 		return math.NaN()
 	}
-	return float64(s.stats.VMs) / float64(s.slots)
+	return float64(vms) / float64(slots)
 }
 
 // Table returns the mapping table in force at this snapshot.
@@ -155,10 +170,11 @@ const rebuildMinOps = 64
 // commit's, ~128 KB per 1000 PMs, and clones once per that many ops).
 const cloneFallbackFactor = 4
 
-// publish refreshes the service's snapshot cell after a commit (and once at
-// construction). When the ring window outgrows max(rebuildMinOps, VMs/2)
-// the leader prefers *adopting* the latest snapshot's reader-materialised
-// placement as the new base — O(1), no copying, sound because the
+// publish makes the committed state readable (after every commit, and once
+// at construction) without allocating: it overwrites the publication cell.
+// When the ring window outgrows max(rebuildMinOps, VMs/2) the leader prefers
+// *adopting* the placement a reader materialised from the newest snapshot
+// handed out as the new base — O(1), no copying, sound because the
 // materialisation is exactly base+window at that snapshot's position and its
 // epoch proves the lineage. The O(fleet) live-placement clone survives only
 // as a fallback at cloneFallbackFactor× the threshold, for services nobody
@@ -168,8 +184,9 @@ func (s *Service) publish() {
 	s.stats.Version = s.stats.Commits
 	s.stats.VMs = live.NumVMs()
 	s.stats.UsedPMs = live.NumUsedPMs()
+	prev := s.handed.Load()
 	if limit := max(rebuildMinOps, live.NumVMs()/2); s.ring.count > limit {
-		if prev := s.snap.Load(); prev != nil && prev.epoch == s.ring.epoch &&
+		if prev != nil && prev.epoch == s.ring.epoch &&
 			prev.count > 0 && prev.matReady.Load() && prev.matErr == nil {
 			s.base = prev.mat
 			s.ring.adopt(prev)
@@ -185,22 +202,51 @@ func (s *Service) publish() {
 			}
 		}
 	}
-	snap := &Snapshot{
-		stats:    s.stats,
-		table:    s.online.Table(),
-		base:     s.base,
-		slots:    s.slots,
-		head:     s.ring.head,
-		skip:     s.ring.skip,
-		count:    s.ring.count,
-		epoch:    s.ring.epoch,
-		endChunk: s.ring.tail,
-		endOff:   s.ring.tail.n,
+	table, ring := s.online.Table(), s.ring
+	s.cellMu.Lock()
+	c := &s.cell // field by field: a view literal would be built aside, then copied in
+	c.stats, c.table, c.base = s.stats, table, s.base
+	c.head, c.skip, c.count, c.epoch = ring.head, ring.skip, ring.count, ring.epoch
+	c.endChunk, c.endOff = ring.tail, ring.tail.n
+	s.version.Store(s.stats.Version)
+	if prev != nil && prev.epoch != s.ring.epoch {
+		// A snapshot of an earlier epoch can never be adopted, and no reader
+		// is handed it again now that its version is behind: let go of it,
+		// or a service read once would keep that snapshot's base and every
+		// chunk appended since reachable. (If a reader has replaced it
+		// meanwhile, the next commit looks at the replacement.)
+		s.handed.CompareAndSwap(prev, nil)
 	}
-	s.snap.Store(snap)
+	s.cellMu.Unlock()
+	s.vms.Store(int64(s.stats.VMs))
 	if m := s.metrics; m != nil {
 		m.version.Set(float64(s.stats.Version))
 		m.vms.Set(float64(s.stats.VMs))
 		m.usedPMs.Set(float64(s.stats.UsedPMs))
 	}
+}
+
+// Snapshot returns the immutable state published by the latest commit. It
+// never waits for commit work. Readers of a version already handed out share
+// that object through one atomic load and a version check. The first reader
+// of a new version allocates the object before taking the cell's lock, and
+// under it only copies the cell in and installs the pointer; a concurrent
+// first reader that finds the version installed returns that object and
+// drops its own, so one version is one object and one materialisation. A
+// client that calls Snapshot after its request returned sees that commit: the
+// leader publishes before it answers.
+func (s *Service) Snapshot() *Snapshot {
+	if cur := s.handed.Load(); cur != nil && cur.stats.Version == s.version.Load() {
+		return cur
+	}
+	snap := &Snapshot{slots: s.slots}
+	s.cellMu.Lock()
+	if cur := s.handed.Load(); cur != nil && cur.stats.Version == s.cell.stats.Version {
+		snap = cur
+	} else {
+		snap.view = s.cell
+		s.handed.Store(snap)
+	}
+	s.cellMu.Unlock()
+	return snap
 }

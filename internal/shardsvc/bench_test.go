@@ -102,7 +102,7 @@ func BenchmarkShardAdmit(b *testing.B) {
 }
 
 // BenchmarkRouterPick isolates the router's per-arrival cost: d hash draws
-// plus d lock-free snapshot headroom reads.
+// plus d headroom-counter reads.
 func BenchmarkRouterPick(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

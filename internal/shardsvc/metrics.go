@@ -24,7 +24,7 @@ type fedMetrics struct {
 	rebFailed *telemetry.Counter // moves the recipient refused
 	rebErrors *telemetry.Counter // rounds that aborted with an error
 
-	headroomG []*telemetry.Gauge // per-shard snapshot headroom
+	headroomG []*telemetry.Gauge // per-shard headroom
 	queueG    []*telemetry.Gauge // per-shard submission-queue depth
 }
 

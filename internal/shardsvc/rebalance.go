@@ -86,7 +86,7 @@ func (f *Federation) rebalanceLoop() {
 
 // RebalanceOnce runs one rebalance round and reports how many VMs moved.
 //
-// A round reads every shard's snapshot occupancy; when the spread (max −
+// A round reads every shard's occupancy; when the spread (max −
 // min) is below SkewAbove it is a no-op. Otherwise the most-occupied shard
 // donates to the least-occupied one: each move shrinks the spread by
 // 1/slots_donor + 1/slots_recipient, so the round plans
@@ -128,8 +128,7 @@ func (f *Federation) rebalanceOnce() (moves int, err error) {
 	occ := make([]float64, len(f.shards))
 	donor, recip := 0, 0
 	for i, s := range f.shards {
-		snap := s.Snapshot()
-		occ[i] = float64(snap.Stats().VMs) / float64(snap.Slots())
+		occ[i] = s.Occupancy()
 		if occ[i] > occ[donor] {
 			donor = i
 		}

@@ -4,11 +4,11 @@ import "sync/atomic"
 
 // router picks a shard per arrival by power-of-d choices: draw d candidate
 // shards (with replacement) from a counter-keyed hash, read each candidate's
-// lock-free snapshot headroom, and join the one with the most free slots —
-// ties to the lowest index. Mitzenmacher's classic result is that d = 2
-// already collapses the maximum load imbalance exponentially versus random
-// placement, at two snapshot reads per arrival instead of a full scan; d ≥
-// shard count degenerates to exact least-loaded.
+// headroom counter, and join the one with the most free slots — ties to the
+// lowest index. Mitzenmacher's classic result is that d = 2 already collapses
+// the maximum load imbalance exponentially versus random placement, at two
+// atomic loads per arrival instead of a full scan; d ≥ shard count
+// degenerates to exact least-loaded.
 //
 // Candidates come from splitmix64 finalisations of (seed, draw counter) —
 // never the global RNG or the clock — so a sequential submission stream is
@@ -38,7 +38,7 @@ func splitmix64(z uint64) uint64 {
 }
 
 // pick returns the shard for the next arrival. headroom reads a shard's
-// current free-slot count (a lock-free snapshot load).
+// current free-slot count (placesvc.Service.Headroom, one atomic load).
 func (r *router) pick(headroom func(int) int) int {
 	if r.n == 1 {
 		return 0

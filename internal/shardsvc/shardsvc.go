@@ -2,7 +2,7 @@
 // PM pool into MaxShards independent placesvc.Service shards — each with its
 // own submission queue and leader, op-ring snapshot pipeline and fit index —
 // and fronts them with a power-of-d-choices router reading the shards'
-// lock-free snapshots. One service's throughput ceiling (one commit at a
+// O(1) headroom counters. One service's throughput ceiling (one commit at a
 // time, one Algorithm-2 ordering pass each) becomes MaxShards ceilings; the price
 // is that first-fit runs per shard, so placements differ from the single
 // fleet-wide service once MaxShards > 1.
@@ -58,7 +58,7 @@ type Config struct {
 	MaxShards int
 	// D is the router's choice count: each arrival samples D shards (with
 	// replacement) from the counter-keyed hash and joins the one with the
-	// most snapshot headroom. Default 2 — the classic power-of-two-choices
+	// most headroom. Default 2 — the classic power-of-two-choices
 	// sweet spot; D ≥ MaxShards degenerates to least-loaded over all shards.
 	D int
 	// Seed keys the router's hash. Runs with equal Seed, MaxShards and D
@@ -449,7 +449,7 @@ func (f *Federation) Stats() placesvc.Stats {
 func (f *Federation) Headroom() int {
 	total := 0
 	for _, s := range f.shards {
-		total += s.Snapshot().Headroom()
+		total += s.Headroom()
 	}
 	return total
 }
@@ -481,13 +481,12 @@ func (f *Federation) Close() error {
 // the placesvc admit contract (serialised Decide, shed metrics, obs storm
 // feed).
 func (f *Federation) admit(cost int, class admission.Class) error {
-	slots, vms := 0, 0
+	slots, free := 0, 0
 	for _, s := range f.shards {
-		snap := s.Snapshot()
-		slots += snap.Slots()
-		vms += snap.Stats().VMs
+		slots += s.Slots()
+		free += s.Headroom()
 	}
-	occ := float64(vms) / float64(slots) // slots ≥ MaxShards ≥ 1
+	occ := float64(slots-free) / float64(slots) // slots ≥ MaxShards ≥ 1
 	f.admMu.Lock()
 	d := f.policy.Decide(admission.Request{
 		TimeNs:    time.Now().UnixNano(),
@@ -522,11 +521,11 @@ func (f *Federation) deadlineCtx(ctx context.Context, class admission.Class) (co
 	return context.WithTimeout(ctx, d)
 }
 
-// headroom reads shard i's current snapshot headroom — the router's load
-// signal.
-func (f *Federation) headroom(i int) int { return f.shards[i].Snapshot().Headroom() }
+// headroom reads shard i's headroom as of its latest commit — the router's
+// load signal, one atomic load per sampled shard.
+func (f *Federation) headroom(i int) int { return f.shards[i].Headroom() }
 
-// byHeadroom returns every shard except skip, ordered by descending snapshot
+// byHeadroom returns every shard except skip, ordered by descending
 // headroom with ties broken by ascending index — the forwarding order.
 func (f *Federation) byHeadroom(skip int) []int {
 	type sh struct{ idx, head int }
