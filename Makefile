@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-compare bench-smoke bench-suite-smoke loadgen-smoke metrics-smoke cli-smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-compare bench-smoke bench-suite-smoke loadgen-smoke metrics-smoke cli-smoke fuzz cover loc clean
 
 all: build vet test
 
@@ -85,6 +85,10 @@ fuzz:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines outside bench/ — the size figure the roadmap tracks.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

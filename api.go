@@ -99,17 +99,6 @@ type (
 	Move = core.Move
 	// RoundingPolicy rounds heterogeneous switch probabilities.
 	RoundingPolicy = core.RoundingPolicy
-	// Placer selects the first-fit implementation (indexed vs linear scan).
-	Placer = core.Placer
-)
-
-// First-fit placer implementations. PlacerIndexed (the default) answers each
-// placement in O(log m) through a segment-tree index over per-PM headroom;
-// PlacerLinear is the paper's O(m) scan, kept as a cross-validation oracle.
-// Both produce identical placements.
-const (
-	PlacerIndexed = core.PlacerIndexed
-	PlacerLinear  = core.PlacerLinear
 )
 
 // Rounding policies for heterogeneous fleets.
@@ -138,29 +127,10 @@ type (
 	Transient = queuing.Transient
 )
 
-// NewTransient wraps a busy-blocks chain for transient queries, served by the
-// closed-form engine (t-independent per query).
+// NewTransient wraps a busy-blocks chain for transient queries, evaluated in
+// closed form (t-independent per query).
 func NewTransient(k int, pOn, pOff float64) (*Transient, error) {
 	return queuing.NewTransient(k, pOn, pOff)
-}
-
-// TransientSolver selects the engine behind a Transient: the closed-form
-// Binomial-convolution fast path or the O(t·k²) matrix-power oracle it is
-// cross-validated against.
-type TransientSolver = queuing.TransientSolver
-
-const (
-	// TransientAuto picks the fast path (currently the closed form).
-	TransientAuto = queuing.TransientAuto
-	// TransientClosedForm forces the t-independent convolution engine.
-	TransientClosedForm = queuing.TransientClosedForm
-	// TransientMatrix forces the matrix-power oracle (cross-validation only).
-	TransientMatrix = queuing.TransientMatrix
-)
-
-// NewTransientWithSolver wraps a busy-blocks chain with an explicit engine.
-func NewTransientWithSolver(k int, pOn, pOff float64, solver TransientSolver) (*Transient, error) {
-	return queuing.NewTransientWithSolver(k, pOn, pOff, solver)
 }
 
 // ErrNeverViolates is returned (wrapped) by Transient.MeanTimeToViolation
@@ -206,7 +176,8 @@ func HeteroViolations(p *Placement, rho float64) ([]Violation, error) {
 }
 
 // MapCal runs Algorithm 1: the minimum number of reservation blocks for k
-// collocated VMs under CVR threshold rho.
+// collocated VMs under CVR threshold rho, from the closed-form Binomial(k, q)
+// stationary occupancy.
 func MapCal(k int, pOn, pOff, rho float64) (MapCalResult, error) {
 	return queuing.MapCal(k, pOn, pOff, rho)
 }

@@ -92,7 +92,9 @@ func TestPublicMapCalMatchesTable(t *testing.T) {
 		if table.Blocks(k) != res.K {
 			t.Errorf("table(%d) = %d, MapCal = %d", k, table.Blocks(k), res.K)
 		}
-		if res.K < k && res.CVR > 0.01 {
+		// At k=2 the tail is q² = ρ exactly, one ulp above ρ in floats: the
+		// acceptance test allows a relative slack of 1e-12.
+		if res.K < k && res.CVR > 0.01*(1+1e-12) {
 			t.Errorf("k=%d: CVR %v above rho", k, res.CVR)
 		}
 	}

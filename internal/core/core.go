@@ -38,8 +38,10 @@ func (r *Result) UsedPMs() int { return r.Placement.NumUsedPMs() }
 type admission func(p *cloud.Placement, vm cloud.VM, pmID int) bool
 
 // firstFit places each VM (in the given order) on the lowest-id PM that
-// admits it, the First Fit core shared by every strategy in the paper. The
-// fleet must already have passed cloud.ValidateVMs: every strategy's Place
+// admits it — the paper's O(n·m) First Fit scan. CONV and SBP place with it;
+// the Eq. (17) and baseline strategies go through the equivalent index
+// (firstFitIndexed), and the tests hold the index to this scan. The fleet
+// must already have passed cloud.ValidateVMs: every strategy's Place
 // validates once on entry, before it orders the fleet.
 func firstFit(vms []cloud.VM, pms []cloud.PM, admit admission) (*Result, error) {
 	placement, err := cloud.NewPlacement(pms)

@@ -180,20 +180,13 @@ func TestMaxVMsPerPMCap(t *testing.T) {
 
 // TestPlaceRejectsInvalidSpecs: every strategy validates the fleet exactly
 // once, on entry to Place — the shared first-fit loops no longer do — so each
-// entry point, under both placers, must itself refuse an invalid VM, a
-// non-finite demand and a duplicate id, and still refuse a bad pool.
+// entry point must itself refuse an invalid VM, a non-finite demand and a
+// duplicate id, and still refuse a bad pool.
 func TestPlaceRejectsInvalidSpecs(t *testing.T) {
-	var strategies []Strategy
-	for _, placer := range []Placer{PlacerIndexed, PlacerLinear} {
-		for _, s := range []Strategy{
-			QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, FFDByRp{}, FFDByRb{}, RBEX{Delta: 0.3},
-		} {
-			strategies = append(strategies, withPlacer(s, placer))
-		}
+	strategies := []Strategy{
+		QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, FFDByRp{}, FFDByRb{}, RBEX{Delta: 0.3},
+		EffectiveSizing{Epsilon: 0.05}, ConvolutionFF{Rho: 0.01, MaxVMsPerPM: 8},
 	}
-	strategies = append(strategies,
-		EffectiveSizing{Epsilon: 0.05},
-		ConvolutionFF{Rho: 0.01, MaxVMsPerPM: 8})
 
 	fleets := []struct {
 		name string

@@ -22,8 +22,8 @@ type Online struct {
 	table    *queuing.MappingTable
 	place    *cloud.Placement
 	// index is the persistent first-fit index maintained across
-	// Arrive/Depart (nil under PlacerLinear). Its scoring closure reads
-	// o.table at call time, so RefreshTable only has to rescore, not rebuild.
+	// Arrive/Depart. Its scoring closure reads o.table at call time, so
+	// RefreshTable only has to rescore, not rebuild.
 	index *placeIndex
 	// positions is RefreshPMs' reused scratch: the batch's tree positions.
 	positions []int
@@ -55,10 +55,7 @@ func NewOnline(strategy QueuingFFD, pms []cloud.PM, pOn, pOff float64) (*Online,
 		return nil, err
 	}
 	o := &Online{strategy: strategy, table: table, place: place}
-	if strategy.Placer == PlacerIndexed {
-		spec := strategy.fitSpec(func() *queuing.MappingTable { return o.table })
-		o.index = newPlaceIndex(place, spec)
-	}
+	o.index = newPlaceIndex(place, strategy.fitSpec(func() *queuing.MappingTable { return o.table }))
 	return o, nil
 }
 
@@ -89,28 +86,17 @@ func (o *Online) TryArrive(vm cloud.VM) (pmID int, ok bool, err error) {
 	if err := vm.Validate(); err != nil {
 		return 0, false, err
 	}
-	if o.index != nil {
-		pmID, ok = o.index.firstFit(o.place, vm, func(pmID int) bool {
-			return o.strategy.admit(o.place, vm, pmID, o.table)
-		})
-		if !ok {
-			return 0, false, nil
-		}
-		if err := o.place.Assign(vm, pmID); err != nil {
-			return 0, false, err
-		}
-		o.index.refresh(o.place, pmID)
-		return pmID, true, nil
+	pmID, ok = o.index.firstFit(o.place, vm, func(pmID int) bool {
+		return o.strategy.admit(o.place, vm, pmID, o.table)
+	})
+	if !ok {
+		return 0, false, nil
 	}
-	for i := 0; i < o.place.NumPMs(); i++ {
-		if pmID := o.place.PMAt(i).ID; o.strategy.admit(o.place, vm, pmID, o.table) {
-			if err := o.place.Assign(vm, pmID); err != nil {
-				return 0, false, err
-			}
-			return pmID, true, nil
-		}
+	if err := o.place.Assign(vm, pmID); err != nil {
+		return 0, false, err
 	}
-	return 0, false, nil
+	o.index.refresh(o.place, pmID)
+	return pmID, true, nil
 }
 
 // Depart removes a VM; the PM's queue size shrinks implicitly because the
@@ -120,9 +106,7 @@ func (o *Online) Depart(vmID int) error {
 	if err != nil {
 		return err
 	}
-	if o.index != nil {
-		o.index.refresh(o.place, pmID)
-	}
+	o.index.refresh(o.place, pmID)
 	return nil
 }
 
@@ -141,9 +125,9 @@ func (o *Online) DepartNoRefresh(vmID int) (int, error) {
 // of the DepartNoRefresh protocol. Duplicate and unknown ids are tolerated
 // (deduped and skipped respectively); the rescoring fans out over
 // Workers goroutines and merges deterministically, so the resulting index is
-// bit-identical at every worker count. A no-op under PlacerLinear.
+// bit-identical at every worker count.
 func (o *Online) RefreshPMs(pmIDs []int) {
-	if o.index == nil || len(pmIDs) == 0 {
+	if len(pmIDs) == 0 {
 		return
 	}
 	if len(pmIDs) == 1 {
@@ -214,12 +198,10 @@ func (o *Online) RefreshTable() error {
 		return err
 	}
 	o.table = table
-	if o.index != nil {
-		// The scores embed mapping(k+1); a new table invalidates all of them.
-		// The rebuild fans out over Workers and merges with one bottom-up
-		// Fill — bit-identical to the sequential rescore at any worker count.
-		o.index.refreshAllParallel(o.place, o.Workers)
-	}
+	// The scores embed mapping(k+1); a new table invalidates all of them. The
+	// rebuild fans out over Workers and merges with one bottom-up Fill —
+	// bit-identical to the sequential rescore at any worker count.
+	o.index.refreshAllParallel(o.place, o.Workers)
 	return nil
 }
 

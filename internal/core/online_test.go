@@ -382,71 +382,75 @@ func TestOnlineRefreshPMsBatchAllocatesNothing(t *testing.T) {
 
 // TryArrive is Arrive with a refusal as a plain outcome: over a stream that
 // fills a small pool and keeps offering VMs — invalid ones and a duplicate id
-// among them — both must choose the same PM, leave the same placement, fail
-// with the same error on an invalid or duplicate VM, and TryArrive must say
-// ok == false with no error exactly when Arrive wraps cloud.ErrNoCapacity.
+// among them — Arrive, TryArrive and the linear-scan oracle must choose the
+// same PM, leave the same placement, fail with the same error on an invalid
+// or duplicate VM, and TryArrive must say ok == false with no error exactly
+// when Arrive wraps cloud.ErrNoCapacity.
 func TestTryArriveMatchesArrive(t *testing.T) {
-	for _, placer := range []Placer{PlacerIndexed, PlacerLinear} {
-		strategy := paperQueue()
-		strategy.Placer = placer
-		pms := mkPool(6, 100)
-		viaArrive, err := NewOnline(strategy, pms, 0.01, 0.09)
+	pms := mkPool(6, 100)
+	mk := func() *Online {
+		o, err := NewOnline(paperQueue(), pms, 0.01, 0.09)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaTry, err := NewOnline(strategy, pms, 0.01, 0.09)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(21))
-		refused, invalid := 0, 0
-		for step := 0; step < 300; step++ {
-			vm := mkVM(step, 2+30*rng.Float64(), 2+18*rng.Float64())
-			switch {
-			case step%37 == 5:
-				vm.Rb = -1 // invalid spec
-			case step%41 == 7:
-				vm.ID = 0 // VM 0 is placed first and never departs: a duplicate
-			case step%3 == 2 && step > 40:
-				id := step - 40 // churn, so refusals and admissions interleave
-				errA, errT := viaArrive.Depart(id), viaTry.Depart(id)
-				if (errA == nil) != (errT == nil) {
-					t.Fatalf("placer %d step %d: depart(%d) %v vs %v", placer, step, id, errA, errT)
-				}
-			}
-			pmA, errA := viaArrive.Arrive(vm)
-			pmT, ok, errT := viaTry.TryArrive(vm)
-			switch {
-			case errA == nil:
-				if !ok || errT != nil || pmT != pmA {
-					t.Fatalf("placer %d step %d: Arrive placed VM %d on PM %d, TryArrive gave (%d, %v, %v)",
-						placer, step, vm.ID, pmA, pmT, ok, errT)
-				}
-			case errors.Is(errA, cloud.ErrNoCapacity):
-				refused++
-				if ok || errT != nil {
-					t.Fatalf("placer %d step %d: Arrive refused VM %d, TryArrive gave (%d, %v, %v)",
-						placer, step, vm.ID, pmT, ok, errT)
-				}
-			default:
-				invalid++
-				if ok || errT == nil || errT.Error() != errA.Error() {
-					t.Fatalf("placer %d step %d: Arrive failed with %q, TryArrive gave (%v, %v)",
-						placer, step, errA, ok, errT)
-				}
+		return o
+	}
+	viaArrive, viaTry, viaScan := mk(), mk(), mk()
+	rng := rand.New(rand.NewSource(21))
+	refused, invalid := 0, 0
+	for step := 0; step < 300; step++ {
+		vm := mkVM(step, 2+30*rng.Float64(), 2+18*rng.Float64())
+		switch {
+		case step%37 == 5:
+			vm.Rb = -1 // invalid spec
+		case step%41 == 7:
+			vm.ID = 0 // VM 0 is placed first and never departs: a duplicate
+		case step%3 == 2 && step > 40:
+			id := step - 40 // churn, so refusals and admissions interleave
+			errA, errT, errS := viaArrive.Depart(id), viaTry.Depart(id), viaScan.Depart(id)
+			if (errA == nil) != (errT == nil) || (errA == nil) != (errS == nil) {
+				t.Fatalf("step %d: depart(%d) %v vs %v vs %v", step, id, errA, errT, errS)
 			}
 		}
-		if refused == 0 || invalid < 2 {
-			t.Fatalf("placer %d: %d refusals, %d other failures: the stream exercised too little", placer, refused, invalid)
+		pmA, errA := viaArrive.Arrive(vm)
+		pmT, ok, errT := viaTry.TryArrive(vm)
+		pmS, okS, errS := linearArrive(viaScan, vm)
+		if pmS != pmT || okS != ok || (errS == nil) != (errT == nil) {
+			t.Fatalf("step %d: TryArrive gave (%d, %v, %v), the linear scan (%d, %v, %v)",
+				step, pmT, ok, errT, pmS, okS, errS)
 		}
-		a, b := viaArrive.Placement(), viaTry.Placement()
+		switch {
+		case errA == nil:
+			if !ok || errT != nil || pmT != pmA {
+				t.Fatalf("step %d: Arrive placed VM %d on PM %d, TryArrive gave (%d, %v, %v)",
+					step, vm.ID, pmA, pmT, ok, errT)
+			}
+		case errors.Is(errA, cloud.ErrNoCapacity):
+			refused++
+			if ok || errT != nil {
+				t.Fatalf("step %d: Arrive refused VM %d, TryArrive gave (%d, %v, %v)",
+					step, vm.ID, pmT, ok, errT)
+			}
+		default:
+			invalid++
+			if ok || errT == nil || errT.Error() != errA.Error() {
+				t.Fatalf("step %d: Arrive failed with %q, TryArrive gave (%v, %v)",
+					step, errA, ok, errT)
+			}
+		}
+	}
+	if refused == 0 || invalid < 2 {
+		t.Fatalf("%d refusals, %d other failures: the stream exercised too little", refused, invalid)
+	}
+	for _, other := range []*Online{viaTry, viaScan} {
+		a, b := viaArrive.Placement(), other.Placement()
 		if a.NumVMs() != b.NumVMs() {
-			t.Fatalf("placer %d: %d VMs via Arrive, %d via TryArrive", placer, a.NumVMs(), b.NumVMs())
+			t.Fatalf("%d VMs via Arrive, %d via the other path", a.NumVMs(), b.NumVMs())
 		}
 		for _, vm := range a.VMs() {
 			pmA, _ := a.PMOf(vm.ID)
 			if pmB, ok := b.PMOf(vm.ID); !ok || pmB != pmA {
-				t.Errorf("placer %d: VM %d on PM %d via Arrive, PM %d (present %v) via TryArrive", placer, vm.ID, pmA, pmB, ok)
+				t.Errorf("VM %d on PM %d via Arrive, PM %d (present %v) via the other path", vm.ID, pmA, pmB, ok)
 			}
 		}
 	}

@@ -9,22 +9,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Placer selects the first-fit implementation a strategy's Place uses.
-type Placer int
-
-const (
-	// PlacerIndexed — the zero value — drives first-fit through a segment
-	// tree over per-PM headroom (fitindex.MaxTree): each VM finds its first
-	// feasible PM in O(log m) plus exact-admission probes, turning Place from
-	// O(n·m) into O(n log m). The placement is identical to PlacerLinear's —
-	// the index preserves first-fit order, it only skips PMs the linear scan
-	// would also have rejected.
-	PlacerIndexed Placer = iota
-	// PlacerLinear is the paper's O(m) scan over the id-sorted pool, kept as
-	// the cross-validation oracle for the index (see TestPlacerEquivalence).
-	PlacerLinear
-)
-
+// First-fit runs through a segment tree over per-PM headroom
+// (fitindex.MaxTree): each VM finds its first feasible PM in O(log m) plus
+// exact-admission probes, turning Place from O(n·m) into O(n log m). The
+// placement is identical to the paper's linear scan (firstFit) — the index
+// preserves first-fit order, it only skips PMs the scan would also have
+// rejected (the test-side TestPlacerEquivalence holds it to that).
+//
 // fitSpec equips a strategy's admission constraint with what the first-fit
 // index needs: need(vm), the demand queried against the index, and
 // score(p, pm), an upper bound on the need the PM can still admit (NegInf for

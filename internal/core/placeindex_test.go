@@ -30,6 +30,29 @@ func heteroFleet(rng *rand.Rand, n int) ([]cloud.VM, []cloud.PM) {
 	return vms, pms
 }
 
+// decimalFleet generates demands in tenths and PM capacities of one or two
+// units: Rb sums that are exact in decimal but round either way in binary,
+// so PMs filled to exactly their capacity are common. This is the input that
+// exercises the index's capEps slack — a score a rounding error below the
+// need must still be probed, because the admission test accepts it.
+func decimalFleet(rng *rand.Rand, n int) ([]cloud.VM, []cloud.PM) {
+	vms := make([]cloud.VM, n)
+	for i := range vms {
+		vms[i] = cloud.VM{
+			ID:   i,
+			POn:  0.01,
+			POff: 0.09,
+			Rb:   float64(1+rng.Intn(9)) / 10,
+			Re:   float64(1+rng.Intn(4)) / 10,
+		}
+	}
+	pms := make([]cloud.PM, n)
+	for i := range pms {
+		pms[i] = cloud.PM{ID: i, Capacity: float64(1 + rng.Intn(2))}
+	}
+	return vms, pms
+}
+
 // diffResults compares two placement results VM by VM; it returns a
 // description of the first difference, or "" when identical.
 func diffResults(a, b *Result) string {
@@ -58,67 +81,75 @@ func diffResults(a, b *Result) string {
 	return ""
 }
 
-// withPlacer returns the strategy with the given placer selected.
-func withPlacer(s Strategy, placer Placer) Strategy {
+// linearPlace is the paper's O(n·m) first-fit scan under the strategy's own
+// ordering and admission test: the oracle the indexed Place must reproduce.
+func linearPlace(t *testing.T, s Strategy, vms []cloud.VM, pms []cloud.PM) *Result {
+	t.Helper()
+	var res *Result
+	var err error
 	switch st := s.(type) {
 	case QueuingFFD:
-		st.Placer = placer
-		return st
+		table, terr := st.Table(vms)
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		ordered, oerr := st.order(vms)
+		if oerr != nil {
+			t.Fatal(oerr)
+		}
+		res, err = firstFit(ordered, pms, func(p *cloud.Placement, vm cloud.VM, pmID int) bool {
+			return st.admit(p, vm, pmID, table)
+		})
 	case FFDByRp:
-		st.Placer = placer
-		return st
+		res, err = firstFit(st.order(vms), pms, st.admit)
 	case FFDByRb:
-		st.Placer = placer
-		return st
+		rb := RBEX{MaxVMsPerPM: st.MaxVMsPerPM}
+		res, err = firstFit(rb.order(vms), pms, rb.admit)
 	case RBEX:
-		st.Placer = placer
-		return st
+		res, err = firstFit(st.order(vms), pms, st.admit)
+	default:
+		t.Fatalf("no linear oracle for %T", s)
 	}
-	panic("unknown strategy")
+	if err != nil {
+		t.Fatalf("linear place: %v", err)
+	}
+	return res
 }
 
 // TestPlacerEquivalence is the cross-validation property of the first-fit
-// index: for every strategy, PlacerIndexed must produce the exact placement
-// PlacerLinear does — same VM→PM mapping, same unplaced set — on random
+// index: for every strategy, Place must produce the exact placement the
+// linear scan does — same VM→PM mapping, same unplaced set — on random
 // fleets. The index may only prune PMs the linear scan would also reject, so
 // any divergence is a soundness or ordering bug.
 func TestPlacerEquivalence(t *testing.T) {
 	strategies := []struct {
-		name   string
-		s      Strategy
-		n      int
-		hetero bool
+		name  string
+		s     Strategy
+		n     int
+		fleet func(*rand.Rand, int) ([]cloud.VM, []cloud.PM)
 	}{
-		{"queue", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, false},
-		{"queue-hetero-rounded", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, true},
-		{"queue-topk", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Sizing: BlockTopKRe}, 120, false},
-		{"queue-exact-hetero", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 8, ExactHetero: true}, 24, true},
-		{"rp", FFDByRp{}, 150, false},
-		{"rp-capped", FFDByRp{MaxVMsPerPM: 4}, 150, false},
-		{"rb", FFDByRb{}, 150, false},
-		{"rbex", RBEX{Delta: 0.3}, 150, false},
+		{"queue", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, randomFleet},
+		{"queue-hetero-rounded", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, heteroFleet},
+		{"queue-topk", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Sizing: BlockTopKRe}, 120, randomFleet},
+		{"queue-exact-hetero", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 8, ExactHetero: true}, 24, heteroFleet},
+		{"queue-decimal", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, decimalFleet},
+		{"rp", FFDByRp{}, 150, randomFleet},
+		{"rp-capped", FFDByRp{MaxVMsPerPM: 4}, 150, randomFleet},
+		{"rp-decimal", FFDByRp{}, 150, decimalFleet},
+		{"rb", FFDByRb{}, 150, randomFleet},
+		{"rb-decimal", FFDByRb{}, 150, decimalFleet},
+		{"rbex", RBEX{Delta: 0.3}, 150, randomFleet},
 	}
 	for _, tc := range strategies {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			prop := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				var vms []cloud.VM
-				var pms []cloud.PM
-				if tc.hetero {
-					vms, pms = heteroFleet(rng, tc.n)
-				} else {
-					vms, pms = randomFleet(rng, tc.n)
-				}
-				indexed, err := withPlacer(tc.s, PlacerIndexed).Place(vms, pms)
+				vms, pms := tc.fleet(rand.New(rand.NewSource(seed)), tc.n)
+				indexed, err := tc.s.Place(vms, pms)
 				if err != nil {
 					t.Fatalf("indexed place: %v", err)
 				}
-				linear, err := withPlacer(tc.s, PlacerLinear).Place(vms, pms)
-				if err != nil {
-					t.Fatalf("linear place: %v", err)
-				}
-				if diff := diffResults(indexed, linear); diff != "" {
+				if diff := diffResults(indexed, linearPlace(t, tc.s, vms, pms)); diff != "" {
 					t.Logf("seed %d: %s", seed, diff)
 					return false
 				}
@@ -136,44 +167,60 @@ func TestPlacerEquivalence(t *testing.T) {
 }
 
 // TestPlacerEquivalenceTightPool pins the equivalence where it is most
-// fragile: a pool too small for the fleet, so both placers must agree on the
-// unplaced set, not just the mapping.
+// fragile: a pool too small for the fleet, so the index and the linear scan
+// must agree on the unplaced set, not just the mapping.
 func TestPlacerEquivalenceTightPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vms, _ := randomFleet(rng, 200)
 	pms := mkPool(9, 90) // deliberately insufficient
 	s := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}
-	indexed, err := withPlacer(s, PlacerIndexed).Place(vms, pms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := withPlacer(s, PlacerLinear).Place(vms, pms)
+	indexed, err := s.Place(vms, pms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(indexed.Unplaced) == 0 {
 		t.Fatal("expected unplaced VMs on the tight pool")
 	}
-	if diff := diffResults(indexed, linear); diff != "" {
+	if diff := diffResults(indexed, linearPlace(t, s, vms, pms)); diff != "" {
 		t.Fatalf("indexed vs linear: %s", diff)
 	}
 }
 
-// TestOnlinePlacerEquivalence drives two online consolidators — indexed and
-// linear — through one random arrival/departure/refresh sequence and requires
-// identical decisions at every step, exercising the persistent index across
-// mutations and table swaps.
+// linearArrive is Online.TryArrive without the index: the paper's O(m) scan
+// for the first PM admitting vm under o's current placement and table. It
+// leaves o's index stale, so an Online driven through it must never call
+// Arrive or TryArrive.
+func linearArrive(o *Online, vm cloud.VM) (pmID int, ok bool, err error) {
+	if err := vm.Validate(); err != nil {
+		return 0, false, err
+	}
+	for i := 0; i < o.place.NumPMs(); i++ {
+		if pmID := o.place.PMAt(i).ID; o.strategy.admit(o.place, vm, pmID, o.table) {
+			if err := o.place.Assign(vm, pmID); err != nil {
+				return 0, false, err
+			}
+			return pmID, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// TestOnlinePlacerEquivalence drives two online consolidators — one through
+// the index, one through the linear scan — over one random
+// arrival/departure/refresh sequence and requires identical decisions at
+// every step, exercising the persistent index across mutations and table
+// swaps.
 func TestOnlinePlacerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pms := mkPool(24, 100)
-	mk := func(placer Placer) *Online {
-		o, err := NewOnline(QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Placer: placer}, pms, 0.01, 0.09)
+	mk := func() *Online {
+		o, err := NewOnline(QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, pms, 0.01, 0.09)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return o
 	}
-	indexed, linear := mk(PlacerIndexed), mk(PlacerLinear)
+	indexed, linear := mk(), mk()
 	var placed []int
 	nextID := 0
 	for step := 0; step < 600; step++ {
@@ -188,9 +235,12 @@ func TestOnlinePlacerEquivalence(t *testing.T) {
 			}
 			nextID++
 			pmA, errA := indexed.Arrive(vm)
-			pmB, errB := linear.Arrive(vm)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("step %d: arrive errors diverge: %v vs %v", step, errA, errB)
+			pmB, okB, errB := linearArrive(linear, vm)
+			if errB != nil {
+				t.Fatalf("step %d: linear arrive: %v", step, errB)
+			}
+			if (errA == nil) != okB {
+				t.Fatalf("step %d: arrive outcomes diverge: %v vs placed=%v", step, errA, okB)
 			}
 			if errA != nil {
 				if !errors.Is(errA, cloud.ErrNoCapacity) {

@@ -68,11 +68,6 @@ type QueuingFFD struct {
 	// Costs an O(k²) dynamic program per admission test instead of a table
 	// lookup.
 	ExactHetero bool
-	// Placer selects the first-fit implementation: the zero value places
-	// through the segment-tree index (O(n log m)); PlacerLinear keeps the
-	// paper's O(n·m) scan as the cross-validation oracle. Both produce
-	// identical placements.
-	Placer Placer
 	// Tracer receives decision-level telemetry: one SolveEvent per MapCal run
 	// during table precompute and one PlacementEvent per Eq. (17) admission
 	// test, carrying both sides of the constraint and the accept/reject
@@ -140,9 +135,6 @@ func (s QueuingFFD) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
 	}
 	admit := func(p *cloud.Placement, vm cloud.VM, pmID int) bool {
 		return s.admit(p, vm, pmID, table)
-	}
-	if s.Placer == PlacerLinear {
-		return firstFit(ordered, pms, admit)
 	}
 	return firstFitIndexed(ordered, pms, admit, s.fitSpec(func() *queuing.MappingTable { return table }), s.Tracer, s.Name())
 }

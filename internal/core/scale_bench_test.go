@@ -35,29 +35,29 @@ func scaleBenchFleet(b *testing.B, n int) ([]cloud.VM, []cloud.PM) {
 	return vms, pms
 }
 
-// BenchmarkScalePlace measures a full FFD consolidation pass under both
-// placers. The placements are identical (TestPlacerEquivalence); only the
-// first-fit scan differs: the linear oracle probes PMs in id order until one
-// admits, the indexed placer finds the first admitting PM through the segment
-// tree in O(log m).
+// BenchmarkScalePlace measures a full FFD-by-R_b consolidation pass through
+// the index and through the test-side linear scan. The placements are
+// identical (TestPlacerEquivalence); only the first-fit search differs: the
+// linear scan probes PMs in id order until one admits, the index finds the
+// first admitting PM through the segment tree in O(log m).
 func BenchmarkScalePlace(b *testing.B) {
 	for _, n := range scaleBenchN() {
 		vms, pms := scaleBenchFleet(b, n)
+		rb := RBEX{}
 		for _, placer := range []struct {
-			name string
-			p    Placer
+			name  string
+			place func() (*Result, error)
 		}{
-			{"indexed", PlacerIndexed},
-			{"linear", PlacerLinear},
+			{"indexed", func() (*Result, error) { return FFDByRb{}.Place(vms, pms) }},
+			{"linear", func() (*Result, error) { return firstFit(rb.order(vms), pms, rb.admit) }},
 		} {
-			if placer.p == PlacerLinear && n >= 1_000_000 {
+			if placer.name == "linear" && n >= 1_000_000 {
 				continue
 			}
-			s := FFDByRb{Placer: placer.p}
 			b.Run(fmt.Sprintf("n=%d/%s", n, placer.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := s.Place(vms, pms)
+					res, err := placer.place()
 					if err != nil {
 						b.Fatal(err)
 					}

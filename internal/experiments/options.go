@@ -128,7 +128,7 @@ func (o Options) withDefaults() (Options, error) {
 // Tables cache when one is configured.
 func (o Options) mappingTable() (*queuing.MappingTable, error) {
 	build := func() (*queuing.MappingTable, error) {
-		return ParallelMappingTable(o.D, o.POn, o.POff, o.Rho, o.Workers, o.Tracer)
+		return queuing.NewMappingTableTraced(o.D, o.POn, o.POff, o.Rho, o.Tracer)
 	}
 	if o.Tables == nil {
 		return build()

@@ -19,7 +19,7 @@ import (
 // The stationary distribution is available in closed form (Binomial(k, q)
 // with q the per-source ON probability — see Stationary), so the Eq. (12)
 // transition matrix is only materialised when a caller actually needs it
-// (transient analysis, power iteration, the Gaussian cross-check). All lazy
+// (the mean time to violation, the test-side oracles). All lazy
 // state is initialised through sync.Once, so a BusyBlocks value may be shared
 // by concurrent readers.
 type BusyBlocks struct {
@@ -127,9 +127,8 @@ func (b *BusyBlocks) TransitionProb(i, j int) float64 { return b.matrix().At(i, 
 // the k sources are independent, each ON with stationary probability
 // q = p_on/(p_on+p_off), so θ is Binomial(k, q). The PMF row is computed by
 // the O(k) multiplicative recurrence and renormalised; no matrix is built and
-// no linear system is solved. The error return is always nil and kept only
-// for signature compatibility with the solver-backed variants.
-func (b *BusyBlocks) Stationary() ([]float64, error) {
+// no linear system is solved.
+func (b *BusyBlocks) Stationary() []float64 {
 	pi := BinomialPMFRow(b.k, b.chain.StationaryOn())
 	sum := 0.0
 	for _, v := range pi {
@@ -138,47 +137,24 @@ func (b *BusyBlocks) Stationary() ([]float64, error) {
 	for i := range pi {
 		pi[i] /= sum
 	}
-	return pi, nil
-}
-
-// StationaryByGaussian computes the limiting distribution the way the paper
-// states it: materialise the Eq. (12) matrix and solve the balance equations
-// Π·P = Π (Eq. 14) by Gaussian elimination. It is the cross-validation oracle
-// for the closed-form fast path and the ablation benchmark's baseline.
-func (b *BusyBlocks) StationaryByGaussian() ([]float64, error) {
-	return linalg.StationaryDistribution(b.matrix())
-}
-
-// StationaryByPowerIteration computes the same limiting distribution via
-// Π₀·Pᵗ with Π₀ = (1, 0, …, 0), the literal form of Eq. (13). It exists for
-// cross-validating the other solvers and for the ablation benchmark.
-func (b *BusyBlocks) StationaryByPowerIteration(tol float64, maxIter int) ([]float64, int, error) {
-	return linalg.PowerIteration(b.matrix(), nil, tol, maxIter)
+	return pi
 }
 
 // ExpectedBusy returns E[θ] under the stationary distribution. For k
 // independent sources it must equal k·p_on/(p_on+p_off).
-func (b *BusyBlocks) ExpectedBusy() (float64, error) {
-	pi, err := b.Stationary()
-	if err != nil {
-		return 0, err
-	}
+func (b *BusyBlocks) ExpectedBusy() float64 {
 	mean := 0.0
-	for m, p := range pi {
+	for m, p := range b.Stationary() {
 		mean += float64(m) * p
 	}
-	return mean, nil
+	return mean
 }
 
 // TailProbability returns Pr{θ > kBlocks} under the stationary distribution —
 // the analytic capacity-violation ratio of a PM provisioned with kBlocks
 // reservation blocks (Eq. 16).
-func (b *BusyBlocks) TailProbability(kBlocks int) (float64, error) {
-	pi, err := b.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	return TailFromStationary(pi, kBlocks), nil
+func (b *BusyBlocks) TailProbability(kBlocks int) float64 {
+	return TailFromStationary(b.Stationary(), kBlocks)
 }
 
 // TailFromStationary returns Pr{θ > kBlocks} = 1 − Σ_{m≤kBlocks} π_m given a

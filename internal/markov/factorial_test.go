@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 // TestBinomialPMFRowMatchesPointwise checks the O(n) recurrence against the
@@ -104,8 +106,9 @@ func TestCumulativeRow(t *testing.T) {
 }
 
 // TestStationaryAgreesWithGaussian is the markov-level statement of the
-// fast-path acceptance bound: closed form vs the Eq. (14) Gaussian solve
-// within 1e-10, across sizes up to the benchmark's k=64.
+// closed form's acceptance bound: Stationary vs the Eq. (14) Gaussian solve
+// of the transition matrix within 1e-10, across sizes up to the benchmark's
+// k=64.
 func TestStationaryAgreesWithGaussian(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 16, 64} {
 		for _, probs := range [][2]float64{{0.01, 0.09}, {0.3, 0.2}, {0.9, 0.05}} {
@@ -113,11 +116,8 @@ func TestStationaryAgreesWithGaussian(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := bb.Stationary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gauss, err := bb.StationaryByGaussian()
+			fast := bb.Stationary()
+			gauss, err := linalg.StationaryDistribution(bb.TransitionMatrix())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package placesvc
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -73,57 +72,55 @@ func TestNewValidation(t *testing.T) {
 // final placement. Same contract style as TestPlacerEquivalence and
 // TestShardCountInvariance.
 func TestServeEquivalenceMaxBatch1(t *testing.T) {
-	for _, placer := range []core.Placer{core.PlacerIndexed, core.PlacerLinear} {
-		t.Run(fmt.Sprintf("placer=%d", placer), func(t *testing.T) {
-			strategy := paperStrategy()
-			strategy.Placer = placer
-			pms := mkPool(20, 100)
-			svc := newServiceT(t, Config{Strategy: strategy, PMs: pms, MaxBatch: 1})
-			seq, err := core.NewOnline(strategy, pms, 0.01, 0.09)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// placer=0 is the placement index, the service's one placement path.
+	t.Run("placer=0", func(t *testing.T) {
+		strategy := paperStrategy()
+		pms := mkPool(20, 100)
+		svc := newServiceT(t, Config{Strategy: strategy, PMs: pms, MaxBatch: 1})
+		seq, err := core.NewOnline(strategy, pms, 0.01, 0.09)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			rng := rand.New(rand.NewSource(77))
-			live := []int{}
-			for step := 0; step < 400; step++ {
-				switch {
-				case rng.Float64() < 0.25 && len(live) > 0:
-					i := rng.Intn(len(live))
-					id := live[i]
-					live = append(live[:i], live[i+1:]...)
-					errSvc := svc.Depart(id)
-					errSeq := seq.Depart(id)
-					if (errSvc == nil) != (errSeq == nil) {
-						t.Fatalf("step %d: depart(%d) svc err %v, seq err %v", step, id, errSvc, errSeq)
-					}
-				default:
-					vm := mkVM(step, 2+30*rng.Float64(), 2+18*rng.Float64())
-					pmSvc, errSvc := svc.Arrive(vm)
-					pmSeq, errSeq := seq.Arrive(vm)
-					if (errSvc == nil) != (errSeq == nil) {
-						t.Fatalf("step %d: arrive(%d) svc err %v, seq err %v", step, vm.ID, errSvc, errSeq)
-					}
-					if errSvc != nil {
-						if !errors.Is(errSvc, cloud.ErrNoCapacity) || !errors.Is(errSeq, cloud.ErrNoCapacity) {
-							t.Fatalf("step %d: rejection not ErrNoCapacity: svc %v, seq %v", step, errSvc, errSeq)
-						}
-						continue
-					}
-					if pmSvc != pmSeq {
-						t.Fatalf("step %d: VM %d placed on PM %d by service, PM %d by sequential Online", step, vm.ID, pmSvc, pmSeq)
-					}
-					live = append(live, vm.ID)
+		rng := rand.New(rand.NewSource(77))
+		live := []int{}
+		for step := 0; step < 400; step++ {
+			switch {
+			case rng.Float64() < 0.25 && len(live) > 0:
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				errSvc := svc.Depart(id)
+				errSeq := seq.Depart(id)
+				if (errSvc == nil) != (errSeq == nil) {
+					t.Fatalf("step %d: depart(%d) svc err %v, seq err %v", step, id, errSvc, errSeq)
 				}
+			default:
+				vm := mkVM(step, 2+30*rng.Float64(), 2+18*rng.Float64())
+				pmSvc, errSvc := svc.Arrive(vm)
+				pmSeq, errSeq := seq.Arrive(vm)
+				if (errSvc == nil) != (errSeq == nil) {
+					t.Fatalf("step %d: arrive(%d) svc err %v, seq err %v", step, vm.ID, errSvc, errSeq)
+				}
+				if errSvc != nil {
+					if !errors.Is(errSvc, cloud.ErrNoCapacity) || !errors.Is(errSeq, cloud.ErrNoCapacity) {
+						t.Fatalf("step %d: rejection not ErrNoCapacity: svc %v, seq %v", step, errSvc, errSeq)
+					}
+					continue
+				}
+				if pmSvc != pmSeq {
+					t.Fatalf("step %d: VM %d placed on PM %d by service, PM %d by sequential Online", step, vm.ID, pmSvc, pmSeq)
+				}
+				live = append(live, vm.ID)
 			}
+		}
 
-			got, err := svc.Snapshot().Placement()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSamePlacement(t, got, seq.Placement())
-		})
-	}
+		got, err := svc.Snapshot().Placement()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSamePlacement(t, got, seq.Placement())
+	})
 }
 
 // ArriveBatch through a MaxBatch = 1 service matches Online.ArriveBatch:

@@ -41,8 +41,8 @@ func ExampleGeomGeomK() {
 	if err != nil {
 		panic(err)
 	}
-	bp, _ := q.BlockingProbability()
-	util, _ := q.Utilization()
+	bp := q.BlockingProbability()
+	util := q.Utilization()
 	fmt.Printf("blocking %.4f, utilisation %.2f\n", bp, util)
 	// Output:
 	// blocking 0.0043, utilisation 0.30

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// The fast-path engine must be indistinguishable from the paper's stated
-// Gaussian solve. This file pins (a) the solver-agreement bound, (b) the
-// acceptance-boundary semantics of blocksFromStationary, and (c) the
-// MappingTable monotonicity properties Algorithm 2 relies on.
+// The closed-form solve must be indistinguishable from the paper's stated
+// Gaussian solve. This file pins (a) the solver-agreement bound against the
+// test-side oracles, (b) the acceptance-boundary semantics of
+// blocksFromStationary, and (c) the MappingTable monotonicity properties
+// Algorithm 2 relies on.
 
-// TestSolverAgreement sweeps a (k, p_on, p_off, ρ) grid and demands that the
-// closed-form, Gaussian, and power-iteration solvers produce the same K and
-// stationary distributions within 1e-10 — the acceptance bound of the
-// fast-path engine.
+// TestSolverAgreement sweeps a (k, p_on, p_off, ρ) grid and demands that
+// MapCal and the Gaussian and power-iteration oracles produce the same K and
+// stationary distributions within 1e-10 — the acceptance bound of the closed
+// form.
 func TestSolverAgreement(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8, 16, 32, 64} {
 		for _, probs := range [][2]float64{
@@ -23,15 +24,15 @@ func TestSolverAgreement(t *testing.T) {
 			for _, rho := range []float64{0.001, 0.01, 0.05, 0.2} {
 				pOn, pOff := probs[0], probs[1]
 				name := fmt.Sprintf("k=%d,pOn=%g,pOff=%g,rho=%g", k, pOn, pOff, rho)
-				fast, err := MapCalWithSolver(k, pOn, pOff, rho, SolverClosedForm)
+				fast, err := MapCal(k, pOn, pOff, rho)
 				if err != nil {
 					t.Fatalf("%s: closed form: %v", name, err)
 				}
-				gauss, err := MapCalWithSolver(k, pOn, pOff, rho, SolverGaussian)
+				gauss, err := oracleMapCal(k, pOn, pOff, rho, "gaussian")
 				if err != nil {
 					t.Fatalf("%s: gaussian: %v", name, err)
 				}
-				power, err := MapCalWithSolver(k, pOn, pOff, rho, SolverPower)
+				power, err := oracleMapCal(k, pOn, pOff, rho, "power")
 				if err != nil {
 					t.Fatalf("%s: power: %v", name, err)
 				}
@@ -55,15 +56,15 @@ func TestSolverAgreement(t *testing.T) {
 	}
 }
 
-// TestMapCalDefaultIsFastPath pins that plain MapCal takes the closed-form
-// path — the tentpole routing, observable through Result.Solver.
+// TestMapCalDefaultIsFastPath pins the solve-path labels MapCal and
+// MapCalHetero report, which solve trace events carry in their solver field.
 func TestMapCalDefaultIsFastPath(t *testing.T) {
 	res, err := MapCal(12, 0.01, 0.09, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Solver != "closed_form" {
-		t.Fatalf("MapCal routed through %q, want closed_form", res.Solver)
+		t.Fatalf("MapCal labelled %q, want closed_form", res.Solver)
 	}
 	het, err := MapCalHetero([]float64{0.01, 0.05}, []float64{0.09, 0.15}, 0.01)
 	if err != nil {
@@ -111,7 +112,7 @@ func TestBlocksFromStationaryBoundary(t *testing.T) {
 				}
 				return
 			}
-			if got := blocksFromStationary(tc.pi, tc.rho); got != tc.want {
+			if got, _ := blocksFromStationary(tc.pi, tc.rho); got != tc.want {
 				t.Fatalf("blocksFromStationary(%v, %g) = %d, want %d", tc.pi, tc.rho, got, tc.want)
 			}
 		})
@@ -142,23 +143,5 @@ func TestMappingTableProperties(t *testing.T) {
 				prev = kb
 			}
 		}
-	}
-}
-
-// TestNewMappingTableFromBlocks covers the assembly constructor used by the
-// parallel builder.
-func TestNewMappingTableFromBlocks(t *testing.T) {
-	table, err := NewMappingTableFromBlocks([]int{0, 1, 1, 2}, 0.01, 0.09, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.MaxVMs() != 3 || table.Blocks(3) != 2 {
-		t.Fatalf("assembled table wrong: d=%d blocks(3)=%d", table.MaxVMs(), table.Blocks(3))
-	}
-	if _, err := NewMappingTableFromBlocks([]int{0}, 0.01, 0.09, 0.01); err == nil {
-		t.Error("accepted table without a k=1 entry")
-	}
-	if _, err := NewMappingTableFromBlocks([]int{1, 1}, 0.01, 0.09, 0.01); err == nil {
-		t.Error("accepted blocks[0] != 0")
 	}
 }

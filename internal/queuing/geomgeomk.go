@@ -37,39 +37,27 @@ func (g *GeomGeomK) Blocks() int { return g.kBlocks }
 
 // BlockingProbability returns the stationary probability that demand exceeds
 // the windows, Pr{θ > K} — identical to the PM's analytic CVR (Eq. 16).
-func (g *GeomGeomK) BlockingProbability() (float64, error) {
+func (g *GeomGeomK) BlockingProbability() float64 {
 	return g.bb.TailProbability(g.kBlocks)
 }
 
 // Utilization returns E[min(θ, K)]/K, the average fraction of reserved
 // blocks actually busy; it quantifies how much of the reservation the spikes
 // really use. For K = 0 it returns 0.
-func (g *GeomGeomK) Utilization() (float64, error) {
+func (g *GeomGeomK) Utilization() float64 {
 	if g.kBlocks == 0 {
-		return 0, nil
+		return 0
 	}
-	pi, err := g.bb.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	busy := 0.0
-	for m, p := range pi {
-		used := m
-		if used > g.kBlocks {
-			used = g.kBlocks
-		}
-		busy += float64(used) * p
-	}
-	return busy / float64(g.kBlocks), nil
+	return g.MeanBusyBlocks() / float64(g.kBlocks)
 }
 
 // MeanBusyBlocks returns E[min(θ, K)].
-func (g *GeomGeomK) MeanBusyBlocks() (float64, error) {
-	u, err := g.Utilization()
-	if err != nil {
-		return 0, err
+func (g *GeomGeomK) MeanBusyBlocks() float64 {
+	busy := 0.0
+	for m, p := range g.bb.Stationary() {
+		busy += float64(min(m, g.kBlocks)) * p
 	}
-	return u * float64(g.kBlocks), nil
+	return busy
 }
 
 // OverflowStats summarises one simulated run of the queue.

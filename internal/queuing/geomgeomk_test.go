@@ -41,10 +41,7 @@ func TestBlockingProbabilityMatchesMapCal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := g.BlockingProbability()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := g.BlockingProbability()
 	if math.Abs(bp-res.CVR) > 1e-12 {
 		t.Errorf("blocking probability %v != MapCal CVR %v", bp, res.CVR)
 	}
@@ -52,25 +49,18 @@ func TestBlockingProbabilityMatchesMapCal(t *testing.T) {
 
 func TestBlockingProbabilityFullBlocksIsZero(t *testing.T) {
 	g, _ := NewGeomGeomK(6, 6, paperPOn, paperPOff)
-	bp, err := g.BlockingProbability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bp != 0 {
+	if bp := g.BlockingProbability(); bp != 0 {
 		t.Errorf("blocking probability with K=k is %v, want 0", bp)
 	}
 }
 
 func TestUtilizationBounds(t *testing.T) {
 	g, _ := NewGeomGeomK(10, 3, paperPOn, paperPOff)
-	u, err := g.Utilization()
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := g.Utilization()
 	if u < 0 || u > 1 {
 		t.Errorf("utilization %v outside [0,1]", u)
 	}
-	mean, _ := g.MeanBusyBlocks()
+	mean := g.MeanBusyBlocks()
 	if math.Abs(mean-u*3) > 1e-12 {
 		t.Errorf("MeanBusyBlocks %v != utilization·K %v", mean, u*3)
 	}
@@ -78,11 +68,7 @@ func TestUtilizationBounds(t *testing.T) {
 
 func TestUtilizationZeroBlocks(t *testing.T) {
 	g, _ := NewGeomGeomK(5, 0, paperPOn, paperPOff)
-	u, err := g.Utilization()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 0 {
+	if u := g.Utilization(); u != 0 {
 		t.Errorf("utilization with K=0 is %v, want 0", u)
 	}
 }
@@ -91,7 +77,7 @@ func TestUtilizationDecreasesWithMoreBlocks(t *testing.T) {
 	prev := 1.1
 	for kb := 1; kb <= 10; kb++ {
 		g, _ := NewGeomGeomK(10, kb, 0.1, 0.1)
-		u, _ := g.Utilization()
+		u := g.Utilization()
 		if u > prev+1e-12 {
 			t.Errorf("utilization increased at K=%d: %v > %v", kb, u, prev)
 		}
@@ -105,7 +91,7 @@ func TestSimulateCVRMatchesAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := NewGeomGeomK(12, res.K, paperPOn, paperPOff)
-	analytic, _ := g.BlockingProbability()
+	analytic := g.BlockingProbability()
 	rng := rand.New(rand.NewSource(99))
 	stats, err := g.SimulateCVR(600000, rng)
 	if err != nil {
@@ -171,8 +157,8 @@ func TestPropBlockingMonotone(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			bp, err := g.BlockingProbability()
-			if err != nil || bp > prev+1e-12 {
+			bp := g.BlockingProbability()
+			if bp > prev+1e-12 {
 				return false
 			}
 			prev = bp

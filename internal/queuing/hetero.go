@@ -95,11 +95,11 @@ func MapCalHetero(pOns, pOffs []float64, rho float64) (HeteroResult, error) {
 	if err != nil {
 		return HeteroResult{}, err
 	}
-	kBlocks := blocksFromStationary(pmf, rho)
+	kBlocks, tail := blocksFromStationary(pmf, rho)
 	return HeteroResult{
 		K:          kBlocks,
 		Stationary: pmf,
-		CVR:        markov.TailFromStationary(pmf, kBlocks),
+		CVR:        tail,
 		Rho:        rho,
 		Sources:    len(pOns),
 		Solver:     HeteroSolverName,

@@ -6,50 +6,14 @@
 package queuing
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/linalg"
 	"repro/internal/markov"
 )
 
-// Solver selects how the stationary occupancy distribution is computed.
-//
-// SolverAuto (the default, and what MapCal uses) takes the analytic fast
-// path: for k iid ON-OFF sources θ is Binomial(k, q) with
-// q = p_on/(p_on+p_off), computed in O(k) with no matrix build and no linear
-// system. The remaining solvers materialise the Eq. (12) transition matrix
-// and exist as cross-validation oracles and ablation-benchmark baselines:
-// SolverGaussian solves the balance equations (Eq. 14) by Gaussian
-// elimination, SolverPower iterates Π₀·Pᵗ (Eq. 13) to convergence.
-type Solver int
-
-const (
-	SolverAuto       Solver = iota // fast path: closed-form Binomial(k, q)
-	SolverClosedForm               // explicit fast path (same as Auto for homogeneous k)
-	SolverGaussian                 // O(k³) matrix build + Gaussian elimination
-	SolverPower                    // O(k³) matrix build + power iteration
-)
-
-// String returns the label recorded in telemetry SolveEvents.
-func (s Solver) String() string {
-	switch s {
-	case SolverAuto, SolverClosedForm:
-		return "closed_form"
-	case SolverGaussian:
-		return "gaussian"
-	case SolverPower:
-		return "power"
-	default:
-		return fmt.Sprintf("solver(%d)", int(s))
-	}
-}
-
-// IsFastPath reports whether the solver avoids the O(k³) matrix machinery.
-// Telemetry uses this to split solves into fast-path vs fallback counters.
-func (s Solver) IsFastPath() bool {
-	return s == SolverAuto || s == SolverClosedForm
-}
+// SolverName labels the closed-form Binomial solve in Result.Solver and in
+// telemetry SolveEvents.
+const SolverName = "closed_form"
 
 // Result captures everything MapCal derives for one (k, p_on, p_off, ρ)
 // instance: the block count K, the stationary occupancy distribution Π, and
@@ -60,7 +24,7 @@ type Result struct {
 	CVR        float64   // analytic capacity-violation ratio with K blocks
 	Rho        float64   // the threshold the result was computed for
 	Sources    int       // k, number of hosted VMs
-	Solver     string    // which solve path produced Stationary
+	Solver     string    // always SolverName
 }
 
 // Reduced reports whether MapCal managed to reserve fewer blocks than VMs
@@ -74,20 +38,13 @@ func (r Result) Reduced() bool { return r.K < r.Sources }
 //
 // The paper states the solve as "build the Eq. (12) matrix, solve Π·P = Π by
 // Gaussian elimination (Eq. 14)"; because the k sources are iid, Π is
-// Binomial(k, q) in closed form and MapCal takes that O(k) path. Use
-// MapCalWithSolver to force the matrix-backed solvers for cross-validation.
+// Binomial(k, q) in closed form and MapCal takes that O(k) path. Tests and
+// fuzzing hold it to Gaussian and power-iteration oracles within 1e-10.
 //
 // When even K = k−1 leaves too much tail mass, K = k is returned (every VM
 // keeps its own block and the CVR is exactly 0), matching the paper's
 // requirement that the initial k-block configuration never violates.
 func MapCal(k int, pOn, pOff, rho float64) (Result, error) {
-	return MapCalWithSolver(k, pOn, pOff, rho, SolverAuto)
-}
-
-// MapCalWithSolver is MapCal with an explicit choice of stationary solver.
-// All solvers agree to ≤ 1e-10 (enforced by tests and fuzzing); the
-// matrix-backed ones exist for cross-validation and ablation benchmarks.
-func MapCalWithSolver(k int, pOn, pOff, rho float64, solver Solver) (Result, error) {
 	if k < 1 {
 		return Result{}, fmt.Errorf("queuing: k must be ≥ 1, got %d", k)
 	}
@@ -98,76 +55,16 @@ func MapCalWithSolver(k int, pOn, pOff, rho float64, solver Solver) (Result, err
 	if err != nil {
 		return Result{}, fmt.Errorf("queuing: %w", err)
 	}
-	var pi []float64
-	switch solver {
-	case SolverAuto, SolverClosedForm:
-		pi, err = bb.Stationary()
-	case SolverGaussian:
-		pi, err = bb.StationaryByGaussian()
-	case SolverPower:
-		pi, _, err = bb.StationaryByPowerIteration(1e-14, 0)
-	default:
-		return Result{}, fmt.Errorf("queuing: unknown solver %d", int(solver))
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("queuing: stationary solve for k=%d: %w", k, err)
-	}
-	kBlocks := blocksFromStationary(pi, rho)
+	pi := bb.Stationary()
+	kBlocks, tail := blocksFromStationary(pi, rho)
 	return Result{
 		K:          kBlocks,
 		Stationary: pi,
-		CVR:        markov.TailFromStationary(pi, kBlocks),
+		CVR:        tail,
 		Rho:        rho,
 		Sources:    k,
-		Solver:     solver.String(),
+		Solver:     SolverName,
 	}, nil
-}
-
-// SolverPeakFallback labels Results produced by the peak-provisioning
-// fallback rather than an actual stationary solve.
-const SolverPeakFallback = "peak_fallback"
-
-// PeakProvisioned returns the degenerate safe configuration for k VMs: every
-// VM keeps its own block (K = k), so the analytic CVR is exactly 0 regardless
-// of the switch probabilities. It is the graceful-degradation answer when no
-// stationary solve is available.
-func PeakProvisioned(k int, rho float64) Result {
-	return Result{K: k, CVR: 0, Rho: rho, Sources: k, Solver: SolverPeakFallback}
-}
-
-// MapCalOrPeak is MapCalWithSolver with graceful degradation: when the
-// matrix-backed solver finds the balance equations singular to working
-// precision (linalg.ErrSingular — possible for extreme switch probabilities
-// that collapse the transition matrix), it falls back to peak provisioning
-// (K = k, zero CVR) instead of failing the admission path. Genuine input
-// errors (bad k, ρ, or probabilities) still return an error.
-func MapCalOrPeak(k int, pOn, pOff, rho float64, solver Solver) (Result, error) {
-	res, err := MapCalWithSolver(k, pOn, pOff, rho, solver)
-	if err == nil {
-		return res, nil
-	}
-	if errors.Is(err, linalg.ErrSingular) {
-		return PeakProvisioned(k, rho), nil
-	}
-	return Result{}, err
-}
-
-// NewMappingTableWithSolver computes the table with an explicit solver,
-// falling back to peak provisioning (mapping(k) = k) for any k whose solve is
-// singular — so a degraded oracle still yields a usable, conservative table.
-func NewMappingTableWithSolver(d int, pOn, pOff, rho float64, solver Solver) (*MappingTable, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("queuing: d must be ≥ 1, got %d", d)
-	}
-	t := &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: make([]int, d+1)}
-	for k := 1; k <= d; k++ {
-		res, err := MapCalOrPeak(k, pOn, pOff, rho, solver)
-		if err != nil {
-			return nil, err
-		}
-		t.blocks[k] = res.K
-	}
-	return t, nil
 }
 
 // tailEpsilon absorbs round-off at the acceptance boundary: a candidate K is
@@ -182,25 +79,24 @@ const tailEpsilon = 1e-12
 
 // blocksFromStationary returns the minimum K whose tail mass
 // Pr{θ > K} = Σ_{m>K} π_m is ≤ ρ (up to relative tailEpsilon), capped at
-// k = len(pi)−1. The tail is accumulated backwards as a direct suffix sum
-// rather than 1 − head: small tails survive (a head sum within one ulp of 1
-// makes 1 − head collapse to exactly 0, silently accepting a positive tail
-// at ρ = 0), and the comparison agrees with TailFromStationary to the
-// summation's round-off, which the relative slack absorbs.
-func blocksFromStationary(pi []float64, rho float64) int {
+// k = len(pi)−1, together with that tail (0 at K = k). The tail is
+// accumulated backwards as a direct suffix sum rather than 1 − head: small
+// tails survive (a head sum within one ulp of 1 makes 1 − head collapse to
+// exactly 0, silently accepting a positive tail at ρ = 0, or inflates a
+// 1e-19 tail to 1e-16). Reporting the accepted sum as the CVR keeps the
+// reported figure the one the acceptance test actually compared with ρ.
+func blocksFromStationary(pi []float64, rho float64) (blocks int, tail float64) {
 	bound := rho * (1 + tailEpsilon)
-	tail := 0.0
-	k := len(pi) - 1
-	best := k
-	for kBlocks := k - 1; kBlocks >= 0; kBlocks-- {
-		tail += pi[kBlocks+1]
-		if tail <= bound {
-			best = kBlocks
-		} else {
+	blocks = len(pi) - 1
+	sum := 0.0
+	for kBlocks := blocks - 1; kBlocks >= 0; kBlocks-- {
+		sum += pi[kBlocks+1]
+		if sum > bound {
 			break
 		}
+		blocks, tail = kBlocks, sum
 	}
-	return best
+	return blocks, tail
 }
 
 // MappingTable precomputes mapping[k] = MapCal(k).K for all k in [1, d],
@@ -214,33 +110,7 @@ type MappingTable struct {
 
 // NewMappingTable computes the table for the given maximum VM count d.
 func NewMappingTable(d int, pOn, pOff, rho float64) (*MappingTable, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("queuing: d must be ≥ 1, got %d", d)
-	}
-	t := &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: make([]int, d+1)}
-	for k := 1; k <= d; k++ {
-		res, err := MapCal(k, pOn, pOff, rho)
-		if err != nil {
-			return nil, err
-		}
-		t.blocks[k] = res.K
-	}
-	return t, nil
-}
-
-// NewMappingTableFromBlocks assembles a table from an already computed
-// blocks slice (blocks[k] = K for k hosted VMs; blocks[0] must be 0). It is
-// the assembly half of the parallel table builder in internal/experiments,
-// which computes the per-k solves concurrently and hands the ordered results
-// here. The slice is taken over, not copied.
-func NewMappingTableFromBlocks(blocks []int, pOn, pOff, rho float64) (*MappingTable, error) {
-	if len(blocks) < 2 {
-		return nil, fmt.Errorf("queuing: blocks table needs entries for k=0 and k=1, got %d", len(blocks))
-	}
-	if blocks[0] != 0 {
-		return nil, fmt.Errorf("queuing: blocks[0] must be 0 (empty PM), got %d", blocks[0])
-	}
-	return &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: blocks}, nil
+	return NewMappingTableTraced(d, pOn, pOff, rho, nil)
 }
 
 // Blocks returns mapping(k). It panics when k is outside [0, d]; the

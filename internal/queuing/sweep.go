@@ -32,10 +32,7 @@ func SweepRho(k int, pOn, pOff float64, rhos []float64) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	pi, err := bb.Stationary()
-	if err != nil {
-		return nil, err
-	}
+	pi := bb.Stationary()
 	sorted := append([]float64(nil), rhos...)
 	sort.Float64s(sorted)
 	out := make([]SweepPoint, 0, len(sorted))
@@ -43,12 +40,12 @@ func SweepRho(k int, pOn, pOff float64, rhos []float64) ([]SweepPoint, error) {
 		if rho < 0 || rho >= 1 {
 			return nil, fmt.Errorf("queuing: rho = %v outside [0,1)", rho)
 		}
-		blocks := blocksFromStationary(pi, rho)
+		blocks, tail := blocksFromStationary(pi, rho)
 		out = append(out, SweepPoint{
 			K:          k,
 			Rho:        rho,
 			Blocks:     blocks,
-			CVR:        markov.TailFromStationary(pi, blocks),
+			CVR:        tail,
 			Saving:     k - blocks,
 			SavingFrac: float64(k-blocks) / float64(k),
 		})

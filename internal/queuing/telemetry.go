@@ -1,6 +1,7 @@
 package queuing
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/telemetry"
@@ -57,12 +58,8 @@ func MapCalHeteroTraced(pOns, pOffs []float64, rho float64, tr telemetry.Tracer)
 // NewMappingTableTraced precomputes the table like NewMappingTable, emitting
 // one SolveEvent per k when the tracer is enabled.
 func NewMappingTableTraced(d int, pOn, pOff, rho float64, tr telemetry.Tracer) (*MappingTable, error) {
-	tr = telemetry.OrNop(tr)
-	if !tr.Enabled() {
-		return NewMappingTable(d, pOn, pOff, rho)
-	}
 	if d < 1 {
-		return NewMappingTable(d, pOn, pOff, rho) // reuse the error path
+		return nil, fmt.Errorf("queuing: d must be ≥ 1, got %d", d)
 	}
 	t := &MappingTable{pOn: pOn, pOff: pOff, rho: rho, blocks: make([]int, d+1)}
 	for k := 1; k <= d; k++ {

@@ -10,47 +10,10 @@ import (
 	"repro/internal/markov"
 )
 
-// TransientSolver selects the algorithm behind Transient's queries, mirroring
-// the MapCal Solver seam: a closed-form fast path that the serving planes use,
-// plus the original matrix-power stepper kept as a cross-validation oracle.
-type TransientSolver int
-
-const (
-	// TransientAuto picks the default engine (the closed form).
-	TransientAuto TransientSolver = iota
-	// TransientClosedForm evaluates occupancy distributions from the
-	// two-state chain's closed-form t-step transition — O(k²) worst case
-	// (O(k) from a point mass), independent of t.
-	TransientClosedForm
-	// TransientMatrix multiplies the dense (k+1)×(k+1) busy-blocks matrix
-	// t times — O(t·k²), the original engine, retained as the oracle the
-	// fast path is validated against.
-	TransientMatrix
-)
-
-// String returns the telemetry label for the solver.
-func (s TransientSolver) String() string {
-	switch s {
-	case TransientAuto:
-		return "auto"
-	case TransientClosedForm:
-		return "closed_form"
-	case TransientMatrix:
-		return "matrix_power"
-	default:
-		return fmt.Sprintf("solver(%d)", int(s))
-	}
-}
-
-// IsFastPath reports whether the solver resolves to the t-independent closed
-// form.
-func (s TransientSolver) IsFastPath() bool { return s != TransientMatrix }
-
 // ErrNeverViolates is returned (wrapped) by MeanTimeToViolation when the
 // reservation equals the full capacity k: a fully provisioned PM can never
 // exceed its reservation, so the absorption time is infinite. Callers branch
-// with errors.Is, the same sentinel discipline as linalg.ErrSingular in
-// MapCalOrPeak.
+// with errors.Is, the same sentinel discipline as linalg.ErrSingular.
 var ErrNeverViolates = errors.New("queuing: fully provisioned PM never violates")
 
 // Transient analyses the busy-blocks chain before it reaches steady state —
@@ -62,81 +25,35 @@ var ErrNeverViolates = errors.New("queuing: fully provisioned PM never violates"
 // distribution after t steps from i busy blocks is the convolution of
 // Binomial(i, stayOn(t)) and Binomial(k−i, turnOn(t)) with the closed-form
 // t-step probabilities from markov.OnOff.TStepOn — no matrix power needed.
-// The matrix engine survives behind NewTransientWithSolver(TransientMatrix)
-// as the cross-validation oracle (agreement ≤ 1e-10, enforced by test + fuzz).
+// Tests and fuzzing hold it to a matrix-power oracle within 1e-10.
 //
-// A Transient is safe for concurrent use; scratch rows and the oracle's
-// sweep memo live behind a mutex.
+// A Transient is safe for concurrent use; its scratch rows live behind a
+// mutex.
 type Transient struct {
-	bb     *markov.BusyBlocks
-	solver TransientSolver
-
-	matOnce sync.Once
-	pm      *linalg.Matrix // dense one-step matrix, built lazily (oracle + MTTV only)
+	bb *markov.BusyBlocks
 
 	mu   sync.Mutex
-	rowA []float64 // closed form: B(i, stayOn) scratch
-	rowB []float64 // closed form: B(k−i, turnOn) scratch
-
-	// Oracle sweep memo: the last (initial, t) endpoint, so a monotone-t
-	// sweep — the autoscaler's access pattern — steps each query forward
-	// from the previous one instead of restarting at t = 0.
-	cur, next []float64
-	memoInit  []float64 // nil = Π₀ (all mass on 0 busy blocks)
-	memoDist  []float64
-	memoT     int
-	steps     uint64 // oracle VecMulInto invocations (test/telemetry hook)
+	rowA []float64 // B(i, stayOn) scratch
+	rowB []float64 // B(k−i, turnOn) scratch
 }
 
-// NewTransient wraps a busy-blocks chain for transient queries using the
-// default (closed-form) engine.
+// NewTransient wraps a busy-blocks chain for transient queries.
 func NewTransient(k int, pOn, pOff float64) (*Transient, error) {
-	return NewTransientWithSolver(k, pOn, pOff, TransientAuto)
-}
-
-// NewTransientWithSolver is NewTransient with an explicit engine choice.
-func NewTransientWithSolver(k int, pOn, pOff float64, solver TransientSolver) (*Transient, error) {
-	switch solver {
-	case TransientAuto, TransientClosedForm, TransientMatrix:
-	default:
-		return nil, fmt.Errorf("queuing: unknown transient solver %d", int(solver))
-	}
 	bb, err := markov.NewBusyBlocks(k, pOn, pOff)
 	if err != nil {
 		return nil, err
 	}
-	if solver == TransientAuto {
-		solver = TransientClosedForm
-	}
-	return &Transient{bb: bb, solver: solver, memoT: -1}, nil
+	return &Transient{bb: bb}, nil
 }
-
-// Solver returns the engine this Transient resolves queries with.
-func (tr *Transient) Solver() TransientSolver { return tr.solver }
 
 // K returns the capacity (number of blocks) of the underlying chain.
 func (tr *Transient) K() int { return tr.bb.K() }
 
-// OracleSteps returns the cumulative number of matrix-vector steps the
-// matrix engine has performed — the closed form never increments it, and a
-// memoised monotone-t sweep increments it once per *new* step rather than
-// once per step per query.
-func (tr *Transient) OracleSteps() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.steps
-}
-
-// matrix returns the dense one-step matrix, built on first use: the closed
-// form never needs it, so fast-path Transients skip the O(k²) build entirely.
-func (tr *Transient) matrix() *linalg.Matrix {
-	tr.matOnce.Do(func() { tr.pm = tr.bb.TransitionMatrix() })
-	return tr.pm
-}
-
 // DistributionAt returns the occupancy distribution Π₀·Pᵗ after t steps from
 // the given initial distribution (nil = all mass on 0 busy blocks, the
-// paper's Π₀ — a PM whose VMs all start OFF).
+// paper's Π₀ — a PM whose VMs all start OFF). It is evaluated in closed form:
+// a single binomial row for Π₀, otherwise a mixture of per-point-mass
+// convolutions weighted by the initial distribution.
 func (tr *Transient) DistributionAt(t int, initial []float64) ([]float64, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("queuing: negative time %d", t)
@@ -146,46 +63,6 @@ func (tr *Transient) DistributionAt(t int, initial []float64) ([]float64, error)
 			return nil, err
 		}
 	}
-	if tr.solver == TransientMatrix {
-		return tr.matrixDistributionAt(t, initial)
-	}
-	return tr.closedDistributionAt(t, initial)
-}
-
-// OccupancyAt returns the occupancy distribution t steps after starting from
-// exactly `from` busy blocks — the point-mass special case of DistributionAt,
-// which the forecast layers use per PM (the live busy count is a point mass,
-// not a distribution). On the closed-form engine this costs one convolution,
-// O(k), with no validation sweep over an initial vector.
-func (tr *Transient) OccupancyAt(t, from int) ([]float64, error) {
-	if t < 0 {
-		return nil, fmt.Errorf("queuing: negative time %d", t)
-	}
-	k := tr.bb.K()
-	if from < 0 || from > k {
-		return nil, fmt.Errorf("queuing: initial busy blocks %d outside [0, %d]", from, k)
-	}
-	if tr.solver == TransientMatrix {
-		if from == 0 {
-			return tr.matrixDistributionAt(t, nil)
-		}
-		initial := make([]float64, k+1)
-		initial[from] = 1
-		return tr.matrixDistributionAt(t, initial)
-	}
-	turnOn, stayOn := tr.bb.Source().TStepOn(t)
-	out := make([]float64, k+1)
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	on, off := tr.scratchLocked()
-	convolveOccupancy(out, 1, from, k, stayOn, turnOn, on, off)
-	return out, nil
-}
-
-// closedDistributionAt evaluates the t-step distribution in closed form: a
-// single binomial row for Π₀, otherwise a mixture of per-point-mass
-// convolutions weighted by the initial distribution.
-func (tr *Transient) closedDistributionAt(t int, initial []float64) ([]float64, error) {
 	k := tr.bb.K()
 	turnOn, stayOn := tr.bb.Source().TStepOn(t)
 	out := make([]float64, k+1)
@@ -202,6 +79,28 @@ func (tr *Transient) closedDistributionAt(t int, initial []float64) ([]float64, 
 		}
 		convolveOccupancy(out, w, i, k, stayOn, turnOn, on, off)
 	}
+	return out, nil
+}
+
+// OccupancyAt returns the occupancy distribution t steps after starting from
+// exactly `from` busy blocks — the point-mass special case of DistributionAt,
+// which the forecast layers use per PM (the live busy count is a point mass,
+// not a distribution). It costs one convolution, O(k), with no validation
+// sweep over an initial vector.
+func (tr *Transient) OccupancyAt(t, from int) ([]float64, error) {
+	if t < 0 {
+		return nil, fmt.Errorf("queuing: negative time %d", t)
+	}
+	k := tr.bb.K()
+	if from < 0 || from > k {
+		return nil, fmt.Errorf("queuing: initial busy blocks %d outside [0, %d]", from, k)
+	}
+	turnOn, stayOn := tr.bb.Source().TStepOn(t)
+	out := make([]float64, k+1)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	on, off := tr.scratchLocked()
+	convolveOccupancy(out, 1, from, k, stayOn, turnOn, on, off)
 	return out, nil
 }
 
@@ -256,87 +155,12 @@ func (tr *Transient) checkInitial(initial []float64) error {
 	return nil
 }
 
-// matrixDistributionAt is the oracle engine: step the distribution through
-// the dense matrix with double-buffered VecMulInto (no per-step allocation),
-// resuming from the memoised endpoint of the previous query when this one
-// extends the same initial condition to a later t.
-func (tr *Transient) matrixDistributionAt(t int, initial []float64) ([]float64, error) {
-	n := tr.bb.K() + 1
-	p := tr.matrix()
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.cur == nil {
-		tr.cur = make([]float64, n)
-		tr.next = make([]float64, n)
-	}
-	cur, next := tr.cur, tr.next
-	start := -1
-	if tr.memoT >= 0 && tr.memoT <= t && sameInitial(tr.memoInit, initial) {
-		copy(cur, tr.memoDist)
-		start = tr.memoT
-	}
-	if start < 0 {
-		for i := range cur {
-			cur[i] = 0
-		}
-		if initial == nil {
-			cur[0] = 1
-		} else {
-			copy(cur, initial)
-		}
-		start = 0
-	}
-	for step := start; step < t; step++ {
-		if err := p.VecMulInto(next, cur); err != nil {
-			return nil, err
-		}
-		cur, next = next, cur
-		tr.steps++
-	}
-	tr.cur, tr.next = cur, next
-	if initial == nil {
-		tr.memoInit = nil
-	} else {
-		tr.memoInit = append(tr.memoInit[:0], initial...)
-	}
-	tr.memoDist = append(tr.memoDist[:0], cur...)
-	tr.memoT = t
-	out := make([]float64, n)
-	copy(out, cur)
-	return out, nil
-}
-
-// sameInitial reports whether two initial conditions are identical, treating
-// nil as the distinguished Π₀.
-func sameInitial(a, b []float64) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ViolationProbabilityAt returns Pr{θ(t) > kBlocks} starting from all-OFF —
-// the instantaneous violation probability t steps after consolidation. On the
-// closed-form engine this is one binomial row into reused scratch; on the
-// oracle it rides the monotone-t sweep memo.
+// the instantaneous violation probability t steps after consolidation: one
+// binomial row into reused scratch.
 func (tr *Transient) ViolationProbabilityAt(t, kBlocks int) (float64, error) {
 	if t < 0 {
 		return 0, fmt.Errorf("queuing: negative time %d", t)
-	}
-	if tr.solver == TransientMatrix {
-		dist, err := tr.matrixDistributionAt(t, nil)
-		if err != nil {
-			return 0, err
-		}
-		return markov.TailFromStationary(dist, kBlocks), nil
 	}
 	k := tr.bb.K()
 	turnOn, _ := tr.bb.Source().TStepOn(t)
@@ -349,9 +173,8 @@ func (tr *Transient) ViolationProbabilityAt(t, kBlocks int) (float64, error) {
 
 // ForecastCurve returns Pr{θ(t) > kBlocks | Π₀} for every t in [t0, t1]
 // inclusive — the batched form of ViolationProbabilityAt an autoscaler
-// evaluates per decision. The closed-form engine reuses one scratch row
-// across the whole span (O((t1−t0+1)·k) total); the oracle walks the span
-// through its sweep memo, stepping the matrix once per horizon.
+// evaluates per decision, reusing one scratch row across the whole span
+// (O((t1−t0+1)·k) total).
 func (tr *Transient) ForecastCurve(t0, t1, kBlocks int) ([]float64, error) {
 	if t0 < 0 {
 		return nil, fmt.Errorf("queuing: negative time %d", t0)
@@ -360,16 +183,6 @@ func (tr *Transient) ForecastCurve(t0, t1, kBlocks int) ([]float64, error) {
 		return nil, fmt.Errorf("queuing: forecast span [%d, %d] is empty", t0, t1)
 	}
 	out := make([]float64, t1-t0+1)
-	if tr.solver == TransientMatrix {
-		for t := t0; t <= t1; t++ {
-			v, err := tr.ViolationProbabilityAt(t, kBlocks)
-			if err != nil {
-				return nil, err
-			}
-			out[t-t0] = v
-		}
-		return out, nil
-	}
 	k := tr.bb.K()
 	chain := tr.bb.Source()
 	tr.mu.Lock()
@@ -389,11 +202,10 @@ func (tr *Transient) ForecastCurve(t0, t1, kBlocks int) ([]float64, error) {
 // empirical remark that "the system [has] stabilized merely within 10σ or
 // so".
 //
-// The closed-form engine skips straight to the spectral lower bound: the mean
-// occupancy gap k·π_on·|λ|ᵗ forces TV(t) ≥ π_on·|λ|ᵗ, so no t below
-// log(tol/π_on)/log|λ| can qualify; the scan of exact O(k) closed-form TV
-// evaluations starts there, returning the same answer as the oracle without
-// any matrix work.
+// The scan skips straight to the spectral lower bound: the mean occupancy gap
+// k·π_on·|λ|ᵗ forces TV(t) ≥ π_on·|λ|ᵗ, so no t below log(tol/π_on)/log|λ|
+// can qualify; the exact O(k) closed-form TV evaluations start there,
+// returning the same answer as iterating the matrix from t = 0 would.
 func (tr *Transient) MixingTime(tol float64, maxT int) (int, error) {
 	if tol <= 0 {
 		return 0, fmt.Errorf("queuing: tolerance %v, want > 0", tol)
@@ -401,13 +213,7 @@ func (tr *Transient) MixingTime(tol float64, maxT int) (int, error) {
 	if maxT < 1 {
 		return 0, fmt.Errorf("queuing: maxT %d, want ≥ 1", maxT)
 	}
-	pi, err := tr.bb.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	if tr.solver == TransientMatrix {
-		return tr.mixingTimeMatrix(tol, maxT, pi)
-	}
+	pi := tr.bb.Stationary()
 	k := tr.bb.K()
 	chain := tr.bb.Source()
 	q := chain.StationaryOn()
@@ -435,26 +241,6 @@ func (tr *Transient) MixingTime(tol float64, maxT int) (int, error) {
 	return 0, fmt.Errorf("queuing: chain not within %v of stationarity after %d steps", tol, maxT)
 }
 
-// mixingTimeMatrix is the oracle mixing-time scan: iterate the matrix and
-// compare TV at every step, double-buffered through VecMulInto.
-func (tr *Transient) mixingTimeMatrix(tol float64, maxT int, pi []float64) (int, error) {
-	p := tr.matrix()
-	n := tr.bb.K() + 1
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	cur[0] = 1
-	for t := 0; t <= maxT; t++ {
-		if totalVariation(cur, pi) <= tol {
-			return t, nil
-		}
-		if err := p.VecMulInto(next, cur); err != nil {
-			return 0, err
-		}
-		cur, next = next, cur
-	}
-	return 0, fmt.Errorf("queuing: chain not within %v of stationarity after %d steps", tol, maxT)
-}
-
 // MeanTimeToViolation returns the expected number of steps until the number
 // of busy blocks first exceeds kBlocks, starting from each transient state
 // 0..kBlocks (states above kBlocks are already violating and get 0). It
@@ -477,13 +263,12 @@ func (tr *Transient) MeanTimeToViolation(kBlocks int) ([]float64, error) {
 	if kBlocks == k {
 		return nil, fmt.Errorf("queuing: kBlocks %d covers all %d blocks; mean time is infinite: %w", kBlocks, k, ErrNeverViolates)
 	}
-	p := tr.matrix()
 	m := kBlocks + 1
 	a := linalg.NewMatrix(m, m)
 	b := make([]float64, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
-			v := -p.At(i, j)
+			v := -tr.bb.TransitionProb(i, j)
 			if i == j {
 				v += 1
 			}

@@ -8,10 +8,10 @@ import (
 // The PR 10 headline matrix: closed-form transient queries across capacity k
 // and horizon t. Each iteration builds a fresh Transient and solves cold, so
 // the numbers measure the honest cost of one forecast (no memo, no warm
-// scratch) and the t-rows demonstrate t-independence. The matrix oracle runs
-// the same shape at the horizons it can afford — t = 10⁶ would take minutes
-// per op at k = 256, which is precisely the point of the closed form, so the
-// oracle grid stops at 10³.
+// scratch) and the t-rows demonstrate t-independence. The test-side matrix
+// oracle runs the same shape at the horizons it can afford — t = 10⁶ would
+// take minutes per op at k = 256, which is precisely the point of the closed
+// form, so the oracle grid stops at 10³.
 
 var benchChains = struct{ pOn, pOff float64 }{0.01, 0.09}
 
@@ -40,11 +40,11 @@ func BenchmarkTransientMatrix(b *testing.B) {
 			b.Run(fmt.Sprintf("k=%d/t=%d", k, horizon), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tr, err := NewTransientWithSolver(k, benchChains.pOn, benchChains.pOff, TransientMatrix)
+					tr, err := newMatrixTransient(k, benchChains.pOn, benchChains.pOff)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := tr.DistributionAt(horizon, nil); err != nil {
+					if _, err := tr.distributionAt(horizon, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,40 +11,22 @@ import (
 
 // The closed-form transient engine must be indistinguishable from the
 // matrix-power oracle. This file pins (a) the 1e-10 agreement bound across a
-// (k, p_on, p_off, t, initial) grid, (b) the oracle's monotone-t sweep memo,
-// (c) the ForecastCurve batching, (d) the MixingTime fast path, and (e) the
-// MeanTimeToViolation sentinel discipline.
+// (k, p_on, p_off, t, initial) grid, (b) the ForecastCurve batching, (c) the
+// MixingTime spectral skip, and (d) the MeanTimeToViolation sentinel
+// discipline.
 
-// transientPair builds the same chain on both engines.
-func transientPair(t *testing.T, k int, pOn, pOff float64) (fast, oracle *Transient) {
+// transientPair builds the same chain on the closed form and the oracle.
+func transientPair(t *testing.T, k int, pOn, pOff float64) (*Transient, *matrixTransient) {
 	t.Helper()
 	fast, err := NewTransient(k, pOn, pOff)
 	if err != nil {
 		t.Fatalf("closed form: %v", err)
 	}
-	oracle, err = NewTransientWithSolver(k, pOn, pOff, TransientMatrix)
+	oracle, err := newMatrixTransient(k, pOn, pOff)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	return fast, oracle
-}
-
-// TestTransientDefaultIsFastPath pins that plain NewTransient routes through
-// the closed form — the tentpole routing, observable through Solver().
-func TestTransientDefaultIsFastPath(t *testing.T) {
-	tr, err := NewTransient(8, 0.01, 0.09)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Solver().IsFastPath() || tr.Solver().String() != "closed_form" {
-		t.Fatalf("NewTransient routed through %q", tr.Solver())
-	}
-	if TransientMatrix.IsFastPath() || TransientMatrix.String() != "matrix_power" {
-		t.Fatalf("TransientMatrix labelled %q, fast=%v", TransientMatrix, TransientMatrix.IsFastPath())
-	}
-	if _, err := NewTransientWithSolver(8, 0.01, 0.09, TransientSolver(99)); err == nil {
-		t.Fatal("accepted unknown solver")
-	}
 }
 
 // TestTransientSolverAgreement sweeps chains, horizons, and initial
@@ -81,7 +63,7 @@ func TestTransientSolverAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: closed: %v", name, err)
 					}
-					b, err := oracle.DistributionAt(steps, initial)
+					b, err := oracle.distributionAt(steps, initial)
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", name, err)
 					}
@@ -103,7 +85,7 @@ func TestTransientSolverAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vb, err := oracle.ViolationProbabilityAt(steps, k/2)
+				vb, err := oracle.violationAt(steps, k/2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +98,7 @@ func TestTransientSolverAgreement(t *testing.T) {
 }
 
 // TestOccupancyAtAgreesAcrossEngines checks the point-mass convenience form
-// against DistributionAt on both engines and across engines.
+// against DistributionAt and against the oracle.
 func TestOccupancyAtAgreesAcrossEngines(t *testing.T) {
 	const k = 12
 	fast, oracle := transientPair(t, k, 0.05, 0.15)
@@ -137,7 +119,7 @@ func TestOccupancyAtAgreesAcrossEngines(t *testing.T) {
 					t.Fatalf("from=%d t=%d: OccupancyAt[%d]=%v, DistributionAt=%v", from, steps, i, got[i], want[i])
 				}
 			}
-			ob, err := oracle.OccupancyAt(steps, from)
+			ob, err := oracle.occupancyAt(steps, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,95 +141,37 @@ func TestOccupancyAtAgreesAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestOracleSweepMemo pins the satellite: a monotone-t sweep on the oracle
-// resumes from the previous endpoint instead of restarting at t = 0, and the
-// resumed results stay bit-identical to cold solves.
-func TestOracleSweepMemo(t *testing.T) {
-	const k = 16
-	oracle, err := NewTransientWithSolver(k, 0.05, 0.15, TransientMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v100, err := oracle.ViolationProbabilityAt(100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := oracle.OracleSteps(); got != 100 {
-		t.Fatalf("after t=100 query: %d oracle steps, want 100", got)
-	}
-	v150, err := oracle.ViolationProbabilityAt(150, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := oracle.OracleSteps(); got != 150 {
-		t.Fatalf("monotone sweep to t=150 took %d total steps, want 150 (incremental)", got)
-	}
-	// Resumed answers must be bit-identical to a cold solve.
-	cold, err := NewTransientWithSolver(k, 0.05, 0.15, TransientMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c100, err := cold.ViolationProbabilityAt(100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold2, err := NewTransientWithSolver(k, 0.05, 0.15, TransientMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c150, err := cold2.ViolationProbabilityAt(150, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v100 != c100 || v150 != c150 {
-		t.Fatalf("memoised sweep (%v, %v) differs from cold solves (%v, %v)", v100, v150, c100, c150)
-	}
-	// A non-monotone query restarts from scratch…
-	if _, err := oracle.ViolationProbabilityAt(50, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := oracle.OracleSteps(); got != 200 {
-		t.Fatalf("backwards query took %d total steps, want 200 (fresh 50-step walk)", got)
-	}
-	// …and the memo also keys on the initial condition.
-	pm := make([]float64, k+1)
-	pm[2] = 1
-	if _, err := oracle.DistributionAt(10, pm); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.DistributionAt(25, pm); err != nil {
-		t.Fatal(err)
-	}
-	if got := oracle.OracleSteps(); got != 225 {
-		t.Fatalf("point-mass sweep took %d total steps, want 225 (200 + 10 + 15 incremental)", got)
-	}
-}
-
 // TestForecastCurveMatchesPointQueries checks the batched curve against
-// point queries on both engines, and its validation.
+// point queries on a fresh Transient (bit for bit) and on the oracle, and its
+// validation.
 func TestForecastCurveMatchesPointQueries(t *testing.T) {
 	const k, kBlocks = 10, 2
 	fast, oracle := transientPair(t, k, 0.05, 0.15)
-	for _, tr := range []*Transient{fast, oracle} {
-		curve, err := tr.ForecastCurve(3, 40, kBlocks)
+	curve, err := fast.ForecastCurve(3, 40, kBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) != 38 {
+		t.Fatalf("curve length %d, want 38", len(curve))
+	}
+	fresh, err := NewTransient(k, 0.05, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range curve {
+		want, err := fresh.ViolationProbabilityAt(3+i, kBlocks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(curve) != 38 {
-			t.Fatalf("curve length %d, want 38", len(curve))
+		if got != want {
+			t.Fatalf("curve[%d] = %v, point query = %v", i, got, want)
 		}
-		fresh, err := NewTransientWithSolver(k, 0.05, 0.15, tr.Solver())
+		o, err := oracle.violationAt(3+i, kBlocks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, got := range curve {
-			want, err := fresh.ViolationProbabilityAt(3+i, kBlocks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%v: curve[%d] = %v, point query = %v", tr.Solver(), i, got, want)
-			}
+		if d := math.Abs(got - o); d > 1e-10 {
+			t.Fatalf("curve[%d]: |closed−oracle| = %g", i, d)
 		}
 	}
 	if _, err := fast.ForecastCurve(-1, 5, kBlocks); err == nil {
@@ -258,7 +182,7 @@ func TestForecastCurveMatchesPointQueries(t *testing.T) {
 	}
 }
 
-// TestMixingTimeClosedMatchesOracle demands the fast path return the same
+// TestMixingTimeClosedMatchesOracle demands the closed form return the same
 // mixing time as the iterated-TV oracle across chains and tolerances.
 func TestMixingTimeClosedMatchesOracle(t *testing.T) {
 	chains := [][2]float64{{0.01, 0.09}, {0.05, 0.15}, {0.3, 0.4}, {0.2, 0.8}, {0.9, 0.8}}
@@ -270,7 +194,7 @@ func TestMixingTimeClosedMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d p=%g/%g tol=%g: closed: %v", k, pr[0], pr[1], tol, err)
 				}
-				want, err := oracle.MixingTime(tol, 10_000)
+				want, err := oracle.mixingTime(tol, 10_000)
 				if err != nil {
 					t.Fatalf("k=%d p=%g/%g tol=%g: oracle: %v", k, pr[0], pr[1], tol, err)
 				}
@@ -285,7 +209,7 @@ func TestMixingTimeClosedMatchesOracle(t *testing.T) {
 	if _, err := fast.MixingTime(0.01, 500); err == nil {
 		t.Error("closed form claimed the periodic chain mixes")
 	}
-	if _, err := oracle.MixingTime(0.01, 500); err == nil {
+	if _, err := oracle.mixingTime(0.01, 500); err == nil {
 		t.Error("oracle claimed the periodic chain mixes")
 	}
 }

@@ -64,7 +64,7 @@ func TestDistributionAtValidation(t *testing.T) {
 func TestDistributionConvergesToStationary(t *testing.T) {
 	tr := newTransientT(t, 8)
 	bb, _ := markov.NewBusyBlocks(8, paperPOn, paperPOff)
-	pi, _ := bb.Stationary()
+	pi := bb.Stationary()
 	dist, err := tr.DistributionAt(3000, nil)
 	if err != nil {
 		t.Fatal(err)

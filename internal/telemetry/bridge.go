@@ -8,8 +8,6 @@ type metricsTracer struct {
 
 	solveDuration *Timer
 	solves        *Counter
-	solveFast     *Counter
-	solveFallback *Counter
 
 	accepted *Counter
 	rejected *Counter
@@ -39,9 +37,7 @@ type metricsTracer struct {
 
 // NewMetrics returns a tracer that updates reg from every event it sees:
 // mapcal_solve_duration_seconds (histogram), mapcal_solves_total,
-// mapcal_fastpath_solves_total vs
-// mapcal_fallback_solves_total (analytic solve paths vs matrix-backed
-// solvers), placement_decisions_total{decision=...}, the placement_index_*
+// placement_decisions_total{decision=...}, the placement_index_*
 // counters (queries/probes/hits of the indexed first-fit), sim_steps_total /
 // sim_violations_total / sim_migrations_total / sim_power_ons_total,
 // sim_pms_in_use / sim_shards (gauges), the reconsolidation counters, and the fault layer
@@ -52,8 +48,6 @@ func NewMetrics(reg *Registry) Tracer {
 		reg:           reg,
 		solveDuration: reg.Timer("mapcal_solve_duration_seconds"),
 		solves:        reg.Counter("mapcal_solves_total"),
-		solveFast:     reg.Counter("mapcal_fastpath_solves_total"),
-		solveFallback: reg.Counter("mapcal_fallback_solves_total"),
 		accepted:      reg.Counter(`placement_decisions_total{decision="accept"}`),
 		rejected:      reg.Counter(`placement_decisions_total{decision="reject"}`),
 		indexQueries:  reg.Counter("placement_index_queries_total"),
@@ -87,11 +81,6 @@ func (m *metricsTracer) Emit(e Event) {
 	case SolveEvent:
 		m.solves.Inc()
 		m.solveDuration.Observe(ev.Duration)
-		if ev.FastPathSolver() {
-			m.solveFast.Inc()
-		} else {
-			m.solveFallback.Inc()
-		}
 	case PlacementEvent:
 		if ev.Accepted {
 			m.accepted.Inc()

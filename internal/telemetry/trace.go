@@ -19,9 +19,8 @@ type Event interface {
 
 // SolveEvent records one MapCal stationary-distribution solve (Algorithm 1):
 // the population k, the resulting block count, and how long the solve took.
-// Solver names the solve path ("closed_form", "poisson_binomial", "gaussian",
-// "power"); the first two are the analytic fast paths, the rest the
-// matrix-backed fallbacks.
+// Solver names the solve path: "closed_form" (homogeneous Binomial) or
+// "poisson_binomial" (heterogeneous).
 type SolveEvent struct {
 	Sources  int           `json:"k"`
 	Blocks   int           `json:"blocks"`
@@ -30,12 +29,6 @@ type SolveEvent struct {
 	Duration time.Duration `json:"duration_ns"`
 	Hetero   bool          `json:"hetero,omitempty"`
 	Solver   string        `json:"solver,omitempty"`
-}
-
-// FastPathSolver reports whether the event's solver label names one of the
-// analytic fast paths (no transition matrix, no linear system).
-func (e SolveEvent) FastPathSolver() bool {
-	return e.Solver == "closed_form" || e.Solver == "poisson_binomial"
 }
 
 // Kind returns "solve".
@@ -71,7 +64,7 @@ type PlacementEvent struct {
 // Kind returns "placement".
 func (PlacementEvent) Kind() string { return "placement" }
 
-// PlaceIndexEvent summarises one indexed first-fit run (core.PlacerIndexed):
+// PlaceIndexEvent summarises one indexed first-fit run:
 // Queries counts VM lookups against the segment-tree index, Probes the exact
 // admission tests run on index candidates, and Hits the lookups resolved by
 // their very first candidate — i.e. the index named the true first-fit PM
