@@ -70,8 +70,8 @@ cli-smoke:
 
 # Short fuzz smoke of every fuzz target in the module: the solver-agreement,
 # transient-agreement and MapCal contracts, the three markov estimators, the
-# fault-plan and admission-config parsers, and the dense Placement against its
-# map-based reference.
+# fault-plan and admission-config parsers, the dense Placement against its
+# map-based reference, and the first-fit MaxTree against a linear scan.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolverAgreement -fuzztime 10s ./internal/queuing/
 	$(GO) test -run '^$$' -fuzz FuzzTransientAgreement -fuzztime 10s ./internal/queuing/
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionConfig -fuzztime 10s ./internal/admission/
 	$(GO) test -run '^$$' -fuzz FuzzPlacementOps -fuzztime 10s ./internal/cloud/
+	$(GO) test -run '^$$' -fuzz FuzzMaxTreeOps -fuzztime 10s ./internal/fitindex/
 
 cover:
 	$(GO) test -cover ./...

@@ -351,10 +351,11 @@ func BenchmarkAblationBlockSizing(b *testing.B) {
 // BenchmarkAblationClusteringAlgorithms isolates the clustering step itself.
 func BenchmarkAblationClusteringAlgorithms(b *testing.B) {
 	vms, _ := benchFleet(b, workload.PatternEqual, 1000, 13)
+	var s cluster.Sorter
 	b.Run("rangebuckets", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.ByRangeBuckets(vms, 32); err != nil {
+			if _, err := s.RangeBuckets(vms, 32); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -362,7 +363,7 @@ func BenchmarkAblationClusteringAlgorithms(b *testing.B) {
 	b.Run("kmeans", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.ByKMeans(vms, 32, 50); err != nil {
+			if _, err := s.KMeans(vms, 32); err != nil {
 				b.Fatal(err)
 			}
 		}

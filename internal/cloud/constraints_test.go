@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -64,6 +65,37 @@ func TestCheckReserved(t *testing.T) {
 		if v := CheckReserved(p, table); len(v) != 1 {
 			t.Errorf("expected one reserved violation, got %v", v)
 		}
+	}
+}
+
+// CheckReserved's tolerance absorbs float round-off, not capacity: a footprint
+// a millionth of a unit over C is a violation, one a millionth under is not.
+// Both PMs host two VMs (block size = the larger R_e) whose R_b fills the
+// rest of the capacity to within ±1e-6.
+func TestCheckReservedTolerance(t *testing.T) {
+	table, err := queuing.NewMappingTable(16, 0.01, 0.09, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, re = 100.0, 8.0
+	rb := (capacity - re*float64(table.Blocks(2))) / 2
+	p, _ := NewPlacement(pool(2, capacity))
+	for pm, delta := range []float64{1e-6, -1e-6} {
+		for i := 0; i < 2; i++ {
+			vm := VM{ID: 10*pm + i, POn: 0.01, POff: 0.09, Rb: rb + delta/2, Re: re - float64(i)}
+			if err := p.Assign(vm, pm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pm, want := range []float64{capacity + 1e-6, capacity - 1e-6} {
+		if got := p.ReservedFootprint(pm, table); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("PM %d footprint %v, want %v", pm, got, want)
+		}
+	}
+	v := CheckReserved(p, table)
+	if len(v) != 1 || v[0].PMID != 0 {
+		t.Fatalf("CheckReserved = %v, want exactly PM 0 (footprint C + 1e-6) flagged", v)
 	}
 }
 

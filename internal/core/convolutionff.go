@@ -9,10 +9,10 @@ import (
 
 // ConvolutionFF ("CONV") packs by the exact stationary overflow probability:
 // a VM joins a PM only if the convolution of all hosted demand distributions
-// keeps P(load > C) ≤ ρ. By ergodicity this bounds the CVR exactly — the
-// *tightest* packing the paper's Eq. (5) constraint permits — so it lower-
-// bounds how many PMs any correct strategy needs. What it gives up relative
-// to the paper's block reservation is structure: there is no uniform
+// keeps P(load > C) ≤ ρ, so by ergodicity each PM's CVR is bounded exactly.
+// The packing is still a first-fit heuristic and lower-bounds nothing: it
+// used more PMs than QUEUE in 11 of 15 fleets measured. What it gives up
+// relative to the paper's block reservation is structure: there is no uniform
 // spike-sized block for local resizing to expand into, so any spike beyond
 // the probabilistic headroom lands directly on capacity, and violation
 // *episodes* last as long as the spike (the temporal cost the CVR metric

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cloud"
+	"repro/internal/cluster"
 	"repro/internal/queuing"
 )
 
@@ -27,6 +28,7 @@ type Online struct {
 	index *placeIndex
 	// positions is RefreshPMs' reused scratch: the batch's tree positions.
 	positions []int
+	sorter    cluster.Sorter // ArriveBatch's reused Algorithm 2 ordering scratch
 
 	// Workers caps how many goroutines the bulk rescoring paths —
 	// RefreshTable's whole-index rebuild and RefreshPMs' dirty-set rescore —
@@ -164,17 +166,17 @@ func (o *Online) ArriveBatch(vms []cloud.VM) (unplaced []cloud.VM, err error) {
 	if err := cloud.ValidateVMs(vms); err != nil {
 		return nil, err
 	}
-	ordered, err := o.strategy.order(vms)
+	perm, err := o.strategy.OrderPerm(&o.sorter, vms)
 	if err != nil {
 		return nil, err
 	}
-	for _, vm := range ordered {
-		_, ok, err := o.TryArrive(vm)
+	for _, i := range perm {
+		_, ok, err := o.TryArrive(vms[i])
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			unplaced = append(unplaced, vm)
+			unplaced = append(unplaced, vms[i])
 		}
 	}
 	return unplaced, nil

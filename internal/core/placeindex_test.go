@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cloud"
+	"repro/internal/telemetry"
 )
 
 // heteroFleet generates VMs with individual switch probabilities — the input
@@ -279,5 +280,69 @@ func TestOnlinePlacerEquivalence(t *testing.T) {
 		if pa != pb {
 			t.Fatalf("final state: VM %d on PM %d (indexed) vs PM %d (linear)", vm.ID, pa, pb)
 		}
+	}
+}
+
+// indexEvents collects the PlaceIndexEvents a traced Place emits.
+type indexEvents []telemetry.PlaceIndexEvent
+
+func (e *indexEvents) Enabled() bool { return true }
+
+func (e *indexEvents) Emit(ev telemetry.Event) {
+	if x, ok := ev.(telemetry.PlaceIndexEvent); ok {
+		*e = append(*e, x)
+	}
+}
+
+// When every VM has the same R_e, the max-R_e index score C − ΣR_b −
+// R_e·mapping(k+1) is the exact Eq. (17) headroom of a non-empty PM, and
+// integer demands keep it free of round-off; empty PMs admit any VM of this
+// fleet. So the index has no false positive: every probe is its query's first
+// and admits. Packing the fleet until the pool refuses VMs drives the PMs
+// through every occupancy k, which a score built on the wrong mapping entry
+// (say mapping(k)) turns into rejected probes.
+func TestIndexScoreExactOnEqualRe(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	vms := make([]cloud.VM, 600)
+	for i := range vms {
+		vms[i] = mkVM(i, float64(2+rng.Intn(11)), 6)
+	}
+	pms := mkPool(40, 100)
+
+	var events indexEvents
+	res, err := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Tracer: &events}.Place(vms, pms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Unplaced) == 0 {
+		t.Fatal("the pool admitted the whole fleet; the test needs refusals")
+	}
+	if len(events) != 1 {
+		t.Fatalf("Place emitted %d PlaceIndexEvents, want 1", len(events))
+	}
+	if ev := events[0]; ev.Queries != uint64(len(vms)) || ev.Probes != ev.Hits {
+		t.Errorf("Place: %d queries, %d probes, %d hits; want %d queries and probes == hits",
+			ev.Queries, ev.Probes, ev.Hits, len(vms))
+	}
+
+	o, err := NewOnline(QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, pms, 0.01, 0.09)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for _, vm := range vms {
+		_, ok, err := o.TryArrive(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("Online admitted the whole fleet; the test needs refusals")
+	}
+	if ix := o.index; ix.probes != ix.hits {
+		t.Errorf("Online: %d queries, %d probes, %d hits; want probes == hits", ix.queries, ix.probes, ix.hits)
 	}
 }

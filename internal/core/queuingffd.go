@@ -170,9 +170,8 @@ func (s QueuingFFD) fitSpec(table func() *queuing.MappingTable) fitSpec {
 }
 
 // Order exposes the Algorithm 2 cluster-and-sort (lines 7–9) for callers
-// that apply placements themselves — the batched admission service orders
-// each coalesced arrival batch with it before committing. The input is not
-// mutated; the returned slice is freshly allocated.
+// that apply placements themselves. The input is not mutated; the returned
+// slice is freshly allocated.
 func (s QueuingFFD) Order(vms []cloud.VM) ([]cloud.VM, error) {
 	return s.order(vms)
 }
@@ -180,37 +179,30 @@ func (s QueuingFFD) Order(vms []cloud.VM) ([]cloud.VM, error) {
 // order performs Algorithm 2 lines 7–9: cluster by similar R_e, sort clusters
 // by R_e descending, sort VMs inside by R_b descending.
 func (s QueuingFFD) order(vms []cloud.VM) ([]cloud.VM, error) {
+	perm, err := s.OrderPerm(new(cluster.Sorter), vms)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]cloud.VM, len(perm))
+	for j, i := range perm {
+		out[j] = vms[i]
+	}
+	return out, nil
+}
+
+// OrderPerm is Order as a permutation — the j-th VM to place is
+// vms[perm[j]] — computed in sorter's reused buffers, valid until its next
+// use. The batched admission service orders each commit's arrivals with it.
+func (s QueuingFFD) OrderPerm(sorter *cluster.Sorter, vms []cloud.VM) ([]int, error) {
 	switch s.Method {
 	case ClusterNone:
-		out := append([]cloud.VM(nil), vms...)
-		sort.SliceStable(out, func(i, j int) bool {
-			if out[i].Re != out[j].Re {
-				return out[i].Re > out[j].Re
-			}
-			if out[i].Rb != out[j].Rb {
-				return out[i].Rb > out[j].Rb
-			}
-			return out[i].ID < out[j].ID
-		})
-		return out, nil
+		return sorter.Unclustered(vms), nil
 	case ClusterKMeans:
-		clusters, err := cluster.ByKMeans(vms, s.numClusters(len(vms)), 50)
-		if err != nil {
-			return nil, err
-		}
-		return cluster.SortForPlacement(clusters), nil
+		return sorter.KMeans(vms, s.numClusters(len(vms)))
 	case ClusterQuantiles:
-		clusters, err := cluster.ByQuantiles(vms, s.numClusters(len(vms)))
-		if err != nil {
-			return nil, err
-		}
-		return cluster.SortForPlacement(clusters), nil
+		return sorter.Quantiles(vms, s.numClusters(len(vms)))
 	case ClusterRangeBuckets:
-		clusters, err := cluster.ByRangeBuckets(vms, s.numClusters(len(vms)))
-		if err != nil {
-			return nil, err
-		}
-		return cluster.SortForPlacement(clusters), nil
+		return sorter.RangeBuckets(vms, s.numClusters(len(vms)))
 	default:
 		return nil, fmt.Errorf("core: unknown cluster method %d", s.Method)
 	}

@@ -31,9 +31,6 @@ func NewMaxTree(n int) *MaxTree {
 	for size < n {
 		size <<= 1
 	}
-	if n == 0 {
-		size = 1
-	}
 	t := &MaxTree{n: n, size: size, max: make([]float64, 2*size)}
 	for i := range t.max {
 		t.max[i] = NegInf
@@ -97,34 +94,36 @@ func (t *MaxTree) Fill(scores []float64) {
 // FirstAtLeast returns the smallest position p ≥ from with score ≥ need, or
 // -1 when no such position exists. This is the first-fit query: with scores
 // holding per-PM residual headroom, it finds the lowest-indexed PM that can
-// admit a demand of `need` without scanning the pool.
+// admit a demand of `need` without scanning the pool. Neither need nor any
+// score may be NaN. From leaf `from` it climbs to the nearest right-sibling
+// subtree whose maximum clears need, then descends to its leftmost fit.
 func (t *MaxTree) FirstAtLeast(from int, need float64) int {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	if from >= t.n || t.max[1] < need {
 		return -1
 	}
-	return t.search(1, 0, t.size-1, from, need)
-}
-
-// search descends to the leftmost leaf ≥ from whose value ≥ need within the
-// node covering [lo, hi].
-func (t *MaxTree) search(node, lo, hi, from int, need float64) int {
-	if hi < from || t.max[node] < need {
-		return -1
-	}
-	if lo == hi {
-		if lo >= t.n {
-			return -1
+	p := 1
+	if from > 0 {
+		p = t.size + from
+		for t.max[p] < need {
+			for ; p&1 == 1; p >>= 1 { // a right child: its right siblings are its parent's
+				if p == 1 {
+					return -1
+				}
+			}
+			p++
 		}
-		return lo
 	}
-	mid := (lo + hi) / 2
-	if p := t.search(2*node, lo, mid, from, need); p >= 0 {
-		return p
+	for p < t.size {
+		p <<= 1
+		if t.max[p] < need {
+			p++
+		}
 	}
-	return t.search(2*node+1, mid+1, hi, from, need)
+	if i := p - t.size; i < t.n {
+		return i
+	}
+	return -1
 }
 
 // MinTree is a segment tree over a fixed-size array of values supporting
@@ -146,9 +145,6 @@ func NewMinTree(n int) *MinTree {
 	size := 1
 	for size < n {
 		size <<= 1
-	}
-	if n == 0 {
-		size = 1
 	}
 	t := &MinTree{n: n, size: size, min: make([]float64, 2*size), arg: make([]int32, 2*size)}
 	for i := range t.min {

@@ -1,6 +1,7 @@
 package fitindex
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -333,4 +334,64 @@ func TestSetEarlyExitMatchesFullWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzSizes are the tree sizes FuzzMaxTreeOps draws from: none a power of two,
+// so every tree has padding leaves past n that a query must never return.
+var fuzzSizes = [...]int{1, 3, 5, 13, 257}
+
+// fuzzValues are the scores and needs FuzzMaxTreeOps draws from: both
+// infinities and a few small integers, so ties between positions (and between
+// a score and a need) are the common case.
+var fuzzValues = [...]float64{math.Inf(-1), math.Inf(1), -1, 0, 1, 2, 2, 3, 5, 8}
+
+// FuzzMaxTreeOps decodes bytes into Set, Fill and FirstAtLeast operations on
+// one tree and checks every query answer against naiveFirstAtLeast over a
+// plain score slice. Each operation reads an opcode byte and two argument
+// bytes; a Fill takes its scores from the bytes that follow.
+func FuzzMaxTreeOps(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 9, 1, 2, 0, 0, 2, 7, 4, 0, 200, 3, 2, 0, 9, 1, 13, 0, 2, 2, 5})
+	f.Add(uint8(3), []byte{1, 13, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 2, 0, 5, 2, 7, 9, 2, 12, 1})
+	f.Add(uint8(0), []byte{0, 0, 0, 2, 0, 0, 2, 1, 0, 0, 0, 1, 2, 0, 1, 2, 255, 3})
+	f.Add(uint8(1), []byte{0, 0, 8, 2, 2, 8}) // a query from 1 must not see leaf 0
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		n := fuzzSizes[int(size)%len(fuzzSizes)]
+		tree := NewMaxTree(n)
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = NegInf
+		}
+		value := func(b byte) float64 { return fuzzValues[int(b)%len(fuzzValues)] }
+		for len(data) >= 3 {
+			op, hi, a, b := data[0]%3, int(data[0]/3), int(data[1]), data[2]
+			data = data[3:]
+			switch op {
+			case 0: // Set(i, value(b)); the opcode's high part reaches past leaf 255
+				i := (hi*256 + a) % n
+				tree.Set(i, value(b))
+				scores[i] = value(b)
+			case 1: // Fill from the next a bytes: short fills leave NegInf past their end
+				k := min(a%(n+3), len(data))
+				fill := make([]float64, k)
+				for i := range fill {
+					fill[i] = value(data[i])
+				}
+				data = data[k:]
+				tree.Fill(fill)
+				for i := range scores {
+					scores[i] = NegInf
+					if i < k {
+						scores[i] = fill[i]
+					}
+				}
+			case 2: // FirstAtLeast(from, need), from ∈ [-1, n+1]
+				from := a%(n+3) - 1
+				need := value(b)
+				got, want := tree.FirstAtLeast(from, need), naiveFirstAtLeast(scores, max(from, 0), need)
+				if got != want {
+					t.Fatalf("n=%d FirstAtLeast(%d, %v) = %d, oracle %d (scores %v)", n, from, need, got, want, scores[:min(n, 16)])
+				}
+			}
+		}
+	})
 }

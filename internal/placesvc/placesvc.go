@@ -30,9 +30,9 @@
 // (see Service.Snapshot); the per-arrival readers — the admission gate here,
 // the shardsvc router — read plain counters instead. A reader never waits for
 // commit work and a commit never waits for a reader: the only critical
-// section they share is that field copy. Batch ordering relinks through
-// reused scratch, and a refused VM is an ordinary outcome
-// (core.Online.TryArrive), not an error value built to be dropped.
+// section they share is that field copy. Batch ordering follows a
+// permutation computed in reused scratch, and a refused VM is an ordinary
+// outcome (core.Online.TryArrive), not an error value built to be dropped.
 //
 // Determinism contract: placements depend only on the order in which requests
 // commit, and commit order is queue order. With MaxBatch = 1, or with a single
@@ -56,6 +56,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cloud"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -259,9 +260,11 @@ type Service struct {
 	batch   []*request       // the leader's own request, then the followers it took
 	arrs    []arrival        // reused per-commit scratch
 	avms    []cloud.VM       // reused per-commit scratch
-	links   []link           // reused per-commit scratch: order's relink index
+	sorter  cluster.Sorter   // reused per-commit scratch: order's permutation
 	ordered []arrival        // reused per-commit scratch: order's result
 	dirty   []int            // reused per-commit scratch: PMs touched by departures
+	idArrs  []int            // reused per-commit scratch: arrivals by (VM id, position)
+	idSlots []int            // reused per-commit scratch: ordered slots by (VM id, slot)
 
 	// Publication (see publish and Snapshot in snapshot.go). cellMu guards
 	// cell and orders the writes of version and handed; nothing but the
@@ -298,11 +301,6 @@ type arrival struct {
 	vm  cloud.VM
 	req *request
 }
-
-// link is one entry of order's relink index: the arrival at position pos of
-// the commit carries VM id. On the first link of an id's run, used counts how
-// many of the run's arrivals the ordered VMs have claimed so far.
-type link struct{ id, pos, used int }
 
 // New builds the service. It starts no goroutine; Close drains and seals it.
 func New(cfg Config) (*Service, error) {
@@ -940,7 +938,8 @@ func (s *Service) commit(batch []*request) {
 }
 
 // order applies the Algorithm-2 cluster-and-sort across the batch's
-// arrivals. Zero or one arrival commits as-is; an ordering failure (a
+// arrivals and follows the permutation it yields straight to each VM's
+// request. Zero or one arrival commits as-is; an ordering failure (a
 // strategy misconfiguration caught at New, so effectively unreachable) falls
 // back to submission order, which is always safe — ordering is a packing
 // heuristic, not a correctness requirement.
@@ -952,30 +951,35 @@ func (s *Service) order(arrs []arrival) []arrival {
 	for _, a := range arrs {
 		s.avms = append(s.avms, a.vm)
 	}
-	ordered, err := s.strategy.Order(s.avms)
+	perm, err := s.strategy.OrderPerm(&s.sorter, s.avms)
 	if err != nil {
 		return arrs
 	}
-	// Re-link ordered VMs to their requests. Ids can repeat across a batch
-	// (the duplicate fails Assign later), so pair each ordered VM with the
-	// first not-yet-taken arrival of that id: in an index of the arrivals
-	// sorted by (id, position) a binary search finds the id's run, whose
-	// first link counts how far into the run earlier VMs have taken.
-	s.links = s.links[:0]
-	for i, a := range arrs {
-		s.links = append(s.links, link{id: a.vm.ID, pos: i})
-	}
-	slices.SortFunc(s.links, func(a, b link) int {
-		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
-	})
 	s.ordered = s.ordered[:0]
-	for _, vm := range ordered {
-		first, _ := slices.BinarySearchFunc(s.links, vm.ID, func(l link, id int) int {
-			return cmp.Compare(l.id, id)
-		})
-		run := &s.links[first]
-		s.ordered = append(s.ordered, arrs[s.links[first+run.used].pos])
-		run.used++
+	for _, i := range perm {
+		s.ordered = append(s.ordered, arrs[i])
+	}
+	if arrs[0].req != arrs[len(arrs)-1].req {
+		// Several requests can repeat a VM id (one request's ids are unique);
+		// the repeat fails Assign later. The k-th ordered copy of an id takes
+		// the id's k-th arrival, so a repeat never jumps ahead of an earlier
+		// request: sorted by id, arrivals and slots list its copies in step.
+		s.idArrs, s.idSlots = byID(arrs, s.idArrs), byID(s.ordered, s.idSlots)
+		for k, slot := range s.idSlots {
+			s.ordered[slot] = arrs[s.idArrs[k]]
+		}
 	}
 	return s.ordered
+}
+
+// byID fills idx with list's positions sorted by (VM id, position).
+func byID(list []arrival, idx []int) []int {
+	idx = idx[:0]
+	for i := range list {
+		idx = append(idx, i)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(list[a].vm.ID, list[b].vm.ID), cmp.Compare(a, b))
+	})
+	return idx
 }

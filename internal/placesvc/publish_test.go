@@ -2,6 +2,7 @@ package placesvc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -279,6 +280,26 @@ func TestOrderMatchesMapRelink(t *testing.T) {
 						method, name, i, got[i].vm.ID, got[i].req, want[i].vm.ID, want[i].req)
 				}
 			}
+		}
+	}
+}
+
+// A single Arrive is validated when it is placed, after the commit ordered
+// it, so a NaN, infinite or negative R_e reaches the order beside valid
+// arrivals. With enough arrivals for several range buckets its bucket index
+// falls outside [0, buckets) unless clamped — a panic on the leader's
+// goroutine. It must order like any other arrival and leave the rejection
+// to placement.
+func TestOrderToleratesUnvalidatedArrival(t *testing.T) {
+	svc := newServiceT(t, Config{Strategy: paperStrategy()})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
+		var arrs []arrival
+		for i := 0; i < 32; i++ {
+			arrs = append(arrs, arrival{vm: mkVM(i, 5, float64(2+i%9)), req: &request{}})
+		}
+		arrs[5].vm.Re = bad
+		if got := svc.order(arrs); len(got) != len(arrs) {
+			t.Fatalf("R_e %v: ordered %d of %d arrivals", bad, len(got), len(arrs))
 		}
 	}
 }
