@@ -105,7 +105,6 @@ type (
 const (
 	RoundMean         = core.RoundMean
 	RoundConservative = core.RoundConservative
-	RoundMedian       = core.RoundMedian
 )
 
 // NewOnline creates an online consolidator; see core.NewOnline.

@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/queuing"
@@ -293,61 +292,6 @@ func BenchmarkAblationStationarySolver(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationClustering compares the three VM-ordering variants of
-// Algorithm 2 lines 7–9 and reports the PM count each produces.
-func BenchmarkAblationClustering(b *testing.B) {
-	vms, pms := benchFleet(b, workload.PatternEqual, 200, 11)
-	for _, method := range []struct {
-		name string
-		m    core.ClusterMethod
-	}{
-		{"rangebuckets", core.ClusterRangeBuckets},
-		{"kmeans", core.ClusterKMeans},
-		{"none", core.ClusterNone},
-	} {
-		s := repro.QueuingFFD{Rho: benchRho, MaxVMsPerPM: benchD, Method: method.m}
-		b.Run(method.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var used int
-			for i := 0; i < b.N; i++ {
-				res, err := s.Place(vms, pms)
-				if err != nil {
-					b.Fatal(err)
-				}
-				used = res.UsedPMs()
-			}
-			b.ReportMetric(float64(used), "pms_used")
-		})
-	}
-}
-
-// BenchmarkAblationBlockSizing compares the paper's uniform max-R_e block
-// against the tighter top-K-R_e reservation.
-func BenchmarkAblationBlockSizing(b *testing.B) {
-	vms, pms := benchFleet(b, workload.PatternEqual, 200, 12)
-	for _, sizing := range []struct {
-		name string
-		s    core.BlockSizing
-	}{
-		{"maxre", core.BlockMaxRe},
-		{"topk", core.BlockTopKRe},
-	} {
-		s := repro.QueuingFFD{Rho: benchRho, MaxVMsPerPM: benchD, Sizing: sizing.s}
-		b.Run(sizing.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var used int
-			for i := 0; i < b.N; i++ {
-				res, err := s.Place(vms, pms)
-				if err != nil {
-					b.Fatal(err)
-				}
-				used = res.UsedPMs()
-			}
-			b.ReportMetric(float64(used), "pms_used")
-		})
-	}
-}
-
 // BenchmarkAblationClusteringAlgorithms isolates the clustering step itself.
 func BenchmarkAblationClusteringAlgorithms(b *testing.B) {
 	vms, _ := benchFleet(b, workload.PatternEqual, 1000, 13)
@@ -356,14 +300,6 @@ func BenchmarkAblationClusteringAlgorithms(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.RangeBuckets(vms, 32); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kmeans", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.KMeans(vms, 32); err != nil {
 				b.Fatal(err)
 			}
 		}

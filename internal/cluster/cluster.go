@@ -4,9 +4,10 @@
 // close to each VM's own spike, minimising wasted reservation.
 //
 // The paper uses "a simple O(n) clustering method" without specifying it; we
-// implement a range-bucket scheme (equal-width buckets over the observed R_e
-// range) as the default, plus 1-D k-means and equal-frequency alternatives
-// for the ablation benchmarks.
+// implement a range-bucket scheme: equal-width buckets over the observed R_e
+// range. Which grouping is used matters little — k-means, equal-frequency
+// buckets and a plain sort by R_e all placed within a PM of it (see
+// EXPERIMENTS.md's ablation) — so it is the only one.
 package cluster
 
 import (
@@ -25,8 +26,8 @@ import (
 // nothing once the reused buffers have grown to the largest batch. The zero
 // value is ready to use; perm is valid until the Sorter's next call.
 type Sorter struct {
-	perm  []int  // the permutation handed back; k-means / quantiles: VMs by R_e first
-	rank  []int  // per VM: its cluster's rank, 0 placed first (or a label, see byLabel)
+	perm  []int  // the permutation handed back
+	rank  []int  // per VM: its cluster's rank, 0 placed first
 	start []int  // counting-sort offsets, one per rank, plus one
 	slots []slot // byRank's layout: each VM's sort keys beside its index
 }
@@ -43,8 +44,11 @@ type slot struct {
 // largest R_e descending are buckets by index descending, and one counting
 // sort puts every VM in its cluster's place. All R_e equal is one cluster.
 func (s *Sorter) RangeBuckets(vms []cloud.VM, numBuckets int) ([]int, error) {
-	if err := checkArgs(vms, "numBuckets", numBuckets); err != nil {
-		return nil, err
+	if len(vms) == 0 {
+		return nil, fmt.Errorf("cluster: no VMs to cluster")
+	}
+	if numBuckets < 1 {
+		return nil, fmt.Errorf("cluster: numBuckets = %d, want ≥ 1", numBuckets)
 	}
 	minRe, maxRe := vms[0].Re, vms[0].Re
 	for _, v := range vms[1:] {
@@ -62,139 +66,6 @@ func (s *Sorter) RangeBuckets(vms []cloud.VM, numBuckets int) ([]int, error) {
 		s.rank[i] = numBuckets - 1 - b
 	}
 	return s.byRank(vms, numBuckets), nil
-}
-
-// KMeans orders vms by 1-D k-means on R_e (Lloyd's algorithm), at most k
-// clusters. Centroids are seeded evenly across the sorted R_e values;
-// iteration stops at convergence or after 50 rounds. With k ≥ len(vms)
-// every VM is a cluster of its own.
-func (s *Sorter) KMeans(vms []cloud.VM, k int) ([]int, error) {
-	if err := checkArgs(vms, "k", k); err != nil {
-		return nil, err
-	}
-	n := len(vms)
-	label := grow(s.rank, n)
-	s.rank = label
-	if k >= n {
-		identity(label, n)
-		return s.byLabel(vms, n), nil
-	}
-	byRe := s.sortByRe(vms)
-	centroids := make([]float64, k)
-	for c := range centroids {
-		centroids[c] = vms[byRe[c*n/k]].Re
-	}
-	clear(label)
-	for iter := 0; iter < 50; iter++ {
-		changed := false
-		for _, i := range byRe {
-			best, bestDist := 0, math.Inf(1)
-			for c, mu := range centroids {
-				if d := math.Abs(vms[i].Re - mu); d < bestDist {
-					best, bestDist = c, d
-				}
-			}
-			changed = changed || label[i] != best
-			label[i] = best
-		}
-		// Recompute centroids, summing in ascending R_e order.
-		sums, counts := make([]float64, k), make([]int, k)
-		for _, i := range byRe {
-			sums[label[i]] += vms[i].Re
-			counts[label[i]]++
-		}
-		for c := range centroids {
-			if counts[c] > 0 {
-				centroids[c] = sums[c] / float64(counts[c])
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return s.byLabel(vms, k), nil
-}
-
-// Quantiles orders vms by numBuckets equal-frequency buckets over the R_e
-// values in ascending order (ties kept in input order) — unlike equal-width
-// buckets, every cluster gets ~n/k VMs, so skewed R_e distributions cannot
-// collapse most VMs into one bucket. The remainder spreads over the leading
-// buckets; numBuckets is capped at len(vms).
-func (s *Sorter) Quantiles(vms []cloud.VM, numBuckets int) ([]int, error) {
-	if err := checkArgs(vms, "numBuckets", numBuckets); err != nil {
-		return nil, err
-	}
-	n := len(vms)
-	numBuckets = min(numBuckets, n)
-	byRe := s.sortByRe(vms)
-	s.rank = grow(s.rank, n)
-	base, extra := n/numBuckets, n%numBuckets
-	for at, i := range byRe {
-		// The first extra buckets hold base+1 VMs, the rest base: at/(base+1)
-		// counts the former, (at−extra)/base the latter, the larger is right.
-		s.rank[i] = max(at/(base+1), (at-extra)/base)
-	}
-	return s.byLabel(vms, numBuckets), nil
-}
-
-// Unclustered is the no-clustering ablation: R_e descending, then R_b
-// descending, then id, then input position — every distinct R_e a cluster.
-func (s *Sorter) Unclustered(vms []cloud.VM) []int {
-	byRe := s.sortByRe(vms)
-	s.rank = grow(s.rank, len(vms))
-	k := 0
-	for j, i := range byRe {
-		if j > 0 && vms[i].Re != vms[byRe[j-1]].Re {
-			k++
-		}
-		s.rank[i] = k
-	}
-	return s.byLabel(vms, k+1)
-}
-
-// checkArgs rejects an empty fleet and a cluster count below one.
-func checkArgs(vms []cloud.VM, name string, clusters int) error {
-	if len(vms) == 0 {
-		return fmt.Errorf("cluster: no VMs to cluster")
-	}
-	if clusters < 1 {
-		return fmt.Errorf("cluster: %s = %d, want ≥ 1", name, clusters)
-	}
-	return nil
-}
-
-// sortByRe returns the VM indices by ascending R_e (stable), in s.perm.
-func (s *Sorter) sortByRe(vms []cloud.VM) []int {
-	s.perm = identity(s.perm, len(vms))
-	slices.SortStableFunc(s.perm, func(a, b int) int { return cmp.Compare(vms[a].Re, vms[b].Re) })
-	return s.perm
-}
-
-// byLabel turns each VM's cluster label in s.rank (one of k) into its
-// cluster's rank — clusters by largest R_e descending, counted from 0 as the
-// paper's block size, then by smallest VM id — and finishes as byRank.
-func (s *Sorter) byLabel(vms []cloud.VM, k int) []int {
-	maxRe, minID, order := make([]float64, k), make([]int, k), identity(nil, k)
-	for l := range minID {
-		minID[l] = math.MaxInt
-	}
-	for i, v := range vms {
-		l := s.rank[i]
-		maxRe[l], minID[l] = max(maxRe[l], v.Re), min(minID[l], v.ID)
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if maxRe[a] != maxRe[b] {
-			return descending(maxRe[a], maxRe[b])
-		}
-		return cmp.Or(cmp.Compare(minID[a], minID[b]), cmp.Compare(a, b))
-	})
-	for r, l := range order {
-		minID[l] = r // minID is spent: it becomes each label's rank
-	}
-	for i, l := range s.rank[:len(vms)] {
-		s.rank[i] = minID[l]
-	}
-	return s.byRank(vms, k)
 }
 
 // byRank lays the VMs out cluster by cluster — a stable counting sort on
@@ -249,13 +120,4 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// identity returns buf resized to n and holding 0, 1, …, n−1.
-func identity(buf []int, n int) []int {
-	buf = grow(buf, n)
-	for i := range buf {
-		buf[i] = i
-	}
-	return buf
 }

@@ -98,66 +98,6 @@ func TestByRangeBucketsMaxReLandsInLastBucket(t *testing.T) {
 	}
 }
 
-func TestByKMeansErrors(t *testing.T) {
-	if _, err := ByKMeans(nil, 2, 10); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ByKMeans([]cloud.VM{vmRe(1, 1)}, 0, 10); err == nil {
-		t.Error("k = 0 accepted")
-	}
-}
-
-func TestByKMeansSingletonsWhenKLarge(t *testing.T) {
-	vms := []cloud.VM{vmRe(1, 1), vmRe(2, 2)}
-	clusters, err := ByKMeans(vms, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Errorf("expected singleton clusters, got %d", len(clusters))
-	}
-}
-
-func TestByKMeansSeparatesTwoGroups(t *testing.T) {
-	vms := []cloud.VM{
-		vmRe(1, 1), vmRe(2, 1.1), vmRe(3, 0.9),
-		vmRe(4, 20), vmRe(5, 19), vmRe(6, 21),
-	}
-	clusters, err := ByKMeans(vms, 2, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Fatalf("expected 2 clusters, got %d", len(clusters))
-	}
-	if totalVMs(clusters) != 6 {
-		t.Fatalf("VMs lost: %d", totalVMs(clusters))
-	}
-	for _, c := range clusters {
-		if len(c.VMs) != 3 {
-			t.Errorf("expected balanced 3/3 split, got cluster of %d", len(c.VMs))
-		}
-	}
-}
-
-func TestByKMeansDefaultMaxIter(t *testing.T) {
-	vms := []cloud.VM{vmRe(1, 1), vmRe(2, 5), vmRe(3, 9)}
-	if _, err := ByKMeans(vms, 2, 0); err != nil {
-		t.Errorf("maxIter ≤ 0 should default, got error: %v", err)
-	}
-}
-
-func TestSingletons(t *testing.T) {
-	vms := []cloud.VM{vmRe(1, 3), vmRe(2, 7)}
-	clusters := Singletons(vms)
-	if len(clusters) != 2 {
-		t.Fatalf("expected 2 clusters, got %d", len(clusters))
-	}
-	if clusters[0].MaxRe != 3 || clusters[1].MaxRe != 7 {
-		t.Error("singleton MaxRe wrong")
-	}
-}
-
 func TestSortForPlacementOrdering(t *testing.T) {
 	// Two clusters: big spikes {Re≈10} and small spikes {Re≈2}.
 	clusters := []Cluster{
@@ -196,7 +136,7 @@ func TestSortForPlacementDeterministicTies(t *testing.T) {
 	}
 }
 
-// Property: both clustering methods partition the input — no VM lost or
+// Property: range-bucket clustering partitions the input — no VM lost or
 // duplicated — and every cluster's MaxRe is the max of its members.
 func TestPropClusteringIsPartition(t *testing.T) {
 	f := func(seed int64) bool {
@@ -206,35 +146,27 @@ func TestPropClusteringIsPartition(t *testing.T) {
 		for i := range vms {
 			vms[i] = vmRe(i, 2+18*rng.Float64())
 		}
-		for _, method := range []func() ([]Cluster, error){
-			func() ([]Cluster, error) { return ByRangeBuckets(vms, 1+rng.Intn(8)) },
-			func() ([]Cluster, error) { return ByKMeans(vms, 1+rng.Intn(8), 30) },
-		} {
-			clusters, err := method()
-			if err != nil {
-				return false
-			}
-			seen := make(map[int]bool)
-			for _, c := range clusters {
-				maxRe := 0.0
-				for _, v := range c.VMs {
-					if seen[v.ID] {
-						return false
-					}
-					seen[v.ID] = true
-					if v.Re > maxRe {
-						maxRe = v.Re
-					}
-				}
-				if c.MaxRe != maxRe {
+		clusters, err := ByRangeBuckets(vms, 1+rng.Intn(8))
+		if err != nil {
+			return false
+		}
+		seen := make(map[int]bool)
+		for _, c := range clusters {
+			maxRe := 0.0
+			for _, v := range c.VMs {
+				if seen[v.ID] {
 					return false
 				}
+				seen[v.ID] = true
+				if v.Re > maxRe {
+					maxRe = v.Re
+				}
 			}
-			if len(seen) != n {
+			if c.MaxRe != maxRe {
 				return false
 			}
 		}
-		return true
+		return len(seen) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -283,89 +215,5 @@ func TestPropSortForPlacementMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestByQuantilesErrors(t *testing.T) {
-	if _, err := ByQuantiles(nil, 3); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ByQuantiles([]cloud.VM{vmRe(1, 5)}, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestByQuantilesBalancedSizes(t *testing.T) {
-	// Heavily skewed Re values: equal-width buckets would put 9 of 10 VMs
-	// in one bucket; quantiles must balance them.
-	vms := []cloud.VM{
-		vmRe(0, 1), vmRe(1, 1.1), vmRe(2, 1.2), vmRe(3, 1.3), vmRe(4, 1.4),
-		vmRe(5, 1.5), vmRe(6, 1.6), vmRe(7, 1.7), vmRe(8, 1.8), vmRe(9, 100),
-	}
-	clusters, err := ByQuantiles(vms, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 5 {
-		t.Fatalf("got %d clusters", len(clusters))
-	}
-	for i, c := range clusters {
-		if len(c.VMs) != 2 {
-			t.Errorf("cluster %d has %d VMs, want 2", i, len(c.VMs))
-		}
-	}
-	if totalVMs(clusters) != 10 {
-		t.Error("VMs lost")
-	}
-	// Contrast with range buckets on the same data.
-	wide, err := ByRangeBuckets(vms, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	biggest := 0
-	for _, c := range wide {
-		if len(c.VMs) > biggest {
-			biggest = len(c.VMs)
-		}
-	}
-	if biggest < 9 {
-		t.Errorf("expected range buckets to collapse the skewed data, biggest = %d", biggest)
-	}
-}
-
-func TestByQuantilesRemainderSpread(t *testing.T) {
-	vms := make([]cloud.VM, 7)
-	for i := range vms {
-		vms[i] = vmRe(i, float64(i))
-	}
-	clusters, err := ByQuantiles(vms, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := []int{len(clusters[0].VMs), len(clusters[1].VMs), len(clusters[2].VMs)}
-	if sizes[0] != 3 || sizes[1] != 2 || sizes[2] != 2 {
-		t.Errorf("sizes = %v, want [3 2 2]", sizes)
-	}
-}
-
-func TestByQuantilesMoreBucketsThanVMs(t *testing.T) {
-	vms := []cloud.VM{vmRe(1, 5), vmRe(2, 7)}
-	clusters, err := ByQuantiles(vms, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Errorf("got %d clusters, want 2 singletons", len(clusters))
-	}
-}
-
-func TestByQuantilesOrderedByRe(t *testing.T) {
-	vms := []cloud.VM{vmRe(1, 9), vmRe(2, 1), vmRe(3, 5), vmRe(4, 7)}
-	clusters, err := ByQuantiles(vms, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clusters[0].MaxRe >= clusters[1].MaxRe {
-		t.Errorf("quantile clusters not ordered by Re: %v, %v", clusters[0].MaxRe, clusters[1].MaxRe)
 	}
 }

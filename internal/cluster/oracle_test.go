@@ -1,10 +1,10 @@
 package cluster
 
-// The Cluster-returning clusterers and SortForPlacement are the reference
-// form of Algorithm 2 lines 7–9, as the package computed them before Sorter:
-// every cluster a fresh VM slice, clusters sorted by (MaxRe desc, smallest id)
-// with a comparator that rescans each cluster. TestSorterMatchesOracle pins
-// every Sorter method to them.
+// ByRangeBuckets and SortForPlacement are the reference form of Algorithm 2
+// lines 7–9, as the package computed them before Sorter: every cluster a
+// fresh VM slice, clusters sorted by (MaxRe desc, smallest id) with a
+// comparator that rescans each cluster. TestSorterMatchesOracle pins
+// Sorter.RangeBuckets to them.
 
 import (
 	"cmp"
@@ -12,8 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
-
 	"testing"
 
 	"repro/internal/cloud"
@@ -79,123 +77,6 @@ func ByRangeBuckets(vms []cloud.VM, numBuckets int) ([]Cluster, error) {
 	return out, nil
 }
 
-// ByKMeans partitions VMs into at most k clusters by 1-D k-means (Lloyd's
-// algorithm on R_e), the higher-quality alternative used in ablations.
-// Centroids are seeded evenly across the sorted R_e values; iteration stops
-// at convergence or maxIter.
-func ByKMeans(vms []cloud.VM, k, maxIter int) ([]Cluster, error) {
-	if len(vms) == 0 {
-		return nil, fmt.Errorf("cluster: no VMs to cluster")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("cluster: k = %d, want ≥ 1", k)
-	}
-	if maxIter < 1 {
-		maxIter = 50
-	}
-	if k >= len(vms) {
-		// One VM per cluster (or fewer clusters than requested).
-		out := make([]Cluster, 0, len(vms))
-		for _, v := range vms {
-			out = append(out, newCluster([]cloud.VM{v}))
-		}
-		return out, nil
-	}
-
-	sorted := append([]cloud.VM(nil), vms...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Re < sorted[j].Re })
-	centroids := make([]float64, k)
-	for i := range centroids {
-		centroids[i] = sorted[i*len(sorted)/k].Re
-	}
-
-	assign := make([]int, len(sorted))
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, v := range sorted {
-			best, bestDist := 0, math.Inf(1)
-			for c, mu := range centroids {
-				if d := math.Abs(v.Re - mu); d < bestDist {
-					best, bestDist = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		// Recompute centroids.
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for i, v := range sorted {
-			sums[assign[i]] += v.Re
-			counts[assign[i]]++
-		}
-		for c := range centroids {
-			if counts[c] > 0 {
-				centroids[c] = sums[c] / float64(counts[c])
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	groups := make([][]cloud.VM, k)
-	for i, v := range sorted {
-		groups[assign[i]] = append(groups[assign[i]], v)
-	}
-	var out []Cluster
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		out = append(out, newCluster(g))
-	}
-	return out, nil
-}
-
-// ByQuantiles partitions VMs into numBuckets equal-frequency buckets over the
-// sorted R_e values — unlike equal-width buckets, every cluster gets ~n/k
-// VMs, so skewed R_e distributions cannot collapse most VMs into one bucket.
-// The remainder spreads over the leading buckets.
-func ByQuantiles(vms []cloud.VM, numBuckets int) ([]Cluster, error) {
-	if len(vms) == 0 {
-		return nil, fmt.Errorf("cluster: no VMs to cluster")
-	}
-	if numBuckets < 1 {
-		return nil, fmt.Errorf("cluster: numBuckets = %d, want ≥ 1", numBuckets)
-	}
-	if numBuckets > len(vms) {
-		numBuckets = len(vms)
-	}
-	sorted := append([]cloud.VM(nil), vms...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Re < sorted[j].Re })
-	base := len(sorted) / numBuckets
-	extra := len(sorted) % numBuckets
-	out := make([]Cluster, 0, numBuckets)
-	idx := 0
-	for b := 0; b < numBuckets; b++ {
-		size := base
-		if b < extra {
-			size++
-		}
-		out = append(out, newCluster(sorted[idx:idx+size]))
-		idx += size
-	}
-	return out, nil
-}
-
-// Singletons places every VM in its own cluster — the "no clustering"
-// baseline for the ablation.
-func Singletons(vms []cloud.VM) []Cluster {
-	out := make([]Cluster, 0, len(vms))
-	for _, v := range vms {
-		out = append(out, newCluster([]cloud.VM{v}))
-	}
-	return out
-}
-
 // SortForPlacement applies the ordering of Algorithm 2, lines 8–9: clusters
 // by MaxRe descending, VMs within each cluster by R_b descending. Ties break
 // by VM id for determinism — both comparators end on an id that is unique
@@ -246,8 +127,8 @@ func clusterMinID(c Cluster) int {
 	return min
 }
 
-// TestSorterMatchesOracle: every Sorter method returns exactly the order of
-// its reference clusterer followed by SortForPlacement — on random fleets, on
+// TestSorterMatchesOracle: RangeBuckets returns exactly the order of
+// ByRangeBuckets followed by SortForPlacement — on random fleets, on
 // fleets of few distinct R_e / R_b values (long runs of ties, ordered by id
 // alone), on all-equal R_e, and on shuffled sparse ids, for one cluster, a
 // few, the default n/8 and more clusters than VMs. One Sorter serves every
@@ -298,43 +179,16 @@ func TestSorterMatchesOracle(t *testing.T) {
 			for _, k := range []int{1, 3, max(1, n/8), n + 5} {
 				vms := fleets[name](n)
 				input := slices.Clone(vms)
-				methods := []struct {
-					name   string
-					sorter func() ([]int, error)
-					oracle func() ([]Cluster, error)
-				}{
-					{"RangeBuckets", func() ([]int, error) { return s.RangeBuckets(vms, k) },
-						func() ([]Cluster, error) { return ByRangeBuckets(vms, k) }},
-					{"KMeans", func() ([]int, error) { return s.KMeans(vms, k) },
-						func() ([]Cluster, error) { return ByKMeans(vms, k, 50) }},
-					{"Quantiles", func() ([]int, error) { return s.Quantiles(vms, k) },
-						func() ([]Cluster, error) { return ByQuantiles(vms, k) }},
+				perm, err := s.RangeBuckets(vms, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, m := range methods {
-					perm, err := m.sorter()
-					if err != nil {
-						t.Fatal(err)
-					}
-					clusters, err := m.oracle()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := apply(vms, perm), SortForPlacement(clusters); !slices.Equal(got, want) {
-						t.Fatalf("%s %s n=%d k=%d: order diverges from the oracle\n got %v\nwant %v", m.name, name, n, k, got, want)
-					}
+				clusters, err := ByRangeBuckets(vms, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := slices.Clone(vms)
-				sort.SliceStable(want, func(i, j int) bool {
-					if want[i].Re != want[j].Re {
-						return want[i].Re > want[j].Re
-					}
-					if want[i].Rb != want[j].Rb {
-						return want[i].Rb > want[j].Rb
-					}
-					return want[i].ID < want[j].ID
-				})
-				if got := apply(vms, s.Unclustered(vms)); !slices.Equal(got, want) {
-					t.Fatalf("Unclustered %s n=%d: order diverges from the stable sort", name, n)
+				if got, want := apply(vms, perm), SortForPlacement(clusters); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d k=%d: order diverges from the oracle\n got %v\nwant %v", name, n, k, got, want)
 				}
 				if !slices.Equal(vms, input) {
 					t.Fatalf("%s n=%d k=%d: the Sorter mutated its input", name, n, k)
@@ -346,20 +200,10 @@ func TestSorterMatchesOracle(t *testing.T) {
 
 func TestSorterErrors(t *testing.T) {
 	var s Sorter
-	one := []cloud.VM{vmRe(1, 5)}
-	for name, call := range map[string]func() ([]int, error){
-		"RangeBuckets empty": func() ([]int, error) { return s.RangeBuckets(nil, 3) },
-		"RangeBuckets zero":  func() ([]int, error) { return s.RangeBuckets(one, 0) },
-		"KMeans empty":       func() ([]int, error) { return s.KMeans(nil, 2) },
-		"KMeans zero":        func() ([]int, error) { return s.KMeans(one, 0) },
-		"Quantiles empty":    func() ([]int, error) { return s.Quantiles(nil, 3) },
-		"Quantiles zero":     func() ([]int, error) { return s.Quantiles(one, 0) },
-	} {
-		if _, err := call(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	if _, err := s.RangeBuckets(nil, 3); err == nil {
+		t.Error("empty fleet accepted")
 	}
-	if perm := s.Unclustered(nil); len(perm) != 0 {
-		t.Errorf("Unclustered(nil) = %v", perm)
+	if _, err := s.RangeBuckets([]cloud.VM{vmRe(1, 5)}, 0); err == nil {
+		t.Error("zero buckets accepted")
 	}
 }

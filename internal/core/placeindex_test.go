@@ -131,7 +131,6 @@ func TestPlacerEquivalence(t *testing.T) {
 	}{
 		{"queue", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, randomFleet},
 		{"queue-hetero-rounded", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, heteroFleet},
-		{"queue-topk", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Sizing: BlockTopKRe}, 120, randomFleet},
 		{"queue-exact-hetero", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 8, ExactHetero: true}, 24, heteroFleet},
 		{"queue-decimal", QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}, 120, decimalFleet},
 		{"rp", FFDByRp{}, 150, randomFleet},

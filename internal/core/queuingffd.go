@@ -2,44 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
 	"repro/internal/fitindex"
 	"repro/internal/queuing"
 	"repro/internal/telemetry"
-)
-
-// BlockSizing selects how the reserved blocks on a PM are sized.
-type BlockSizing int
-
-const (
-	// BlockMaxRe sizes every block as max R_e of the hosted VMs — the
-	// paper's conservative choice (§IV-B), which guarantees any K
-	// simultaneous spikes fit regardless of which VMs spike.
-	BlockMaxRe BlockSizing = iota
-	// BlockTopKRe sizes the reservation as the sum of the K largest R_e
-	// among hosted VMs — a tighter bound (at most K VMs spike at once, and
-	// the worst case is the K biggest spikes). Used by the ablation bench.
-	BlockTopKRe
-)
-
-// ClusterMethod selects the first step of the two-step placement.
-type ClusterMethod int
-
-const (
-	// ClusterRangeBuckets is the paper's simple O(n) clustering.
-	ClusterRangeBuckets ClusterMethod = iota
-	// ClusterKMeans uses 1-D k-means on R_e (ablation).
-	ClusterKMeans
-	// ClusterNone skips clustering; VMs are sorted by R_e then R_b
-	// descending globally (ablation).
-	ClusterNone
-	// ClusterQuantiles uses equal-frequency buckets over R_e — robust to
-	// skewed spike-size distributions where equal-width buckets collapse
-	// (ablation).
-	ClusterQuantiles
 )
 
 // QueuingFFD is Algorithm 2 — the paper's burstiness-aware consolidation:
@@ -51,15 +19,9 @@ type QueuingFFD struct {
 	// MaxVMsPerPM is d, the cap on VMs per PM; mapping(k) is precomputed
 	// for k ∈ [1, d].
 	MaxVMsPerPM int
-	// NumClusters bounds the number of R_e clusters (0 picks a default of
-	// max(1, n/8), mirroring the paper's "similar R_e" granularity).
-	NumClusters int
-	// Method selects the clustering variant; the zero value is the paper's.
-	Method ClusterMethod
-	// Sizing selects block sizing; the zero value is the paper's max-R_e.
-	Sizing BlockSizing
 	// Rounding handles heterogeneous switch probabilities (§IV-E); the zero
-	// value (RoundMean) averages them. Irrelevant when the fleet is uniform.
+	// value (RoundMean) rounds to the fleet's mean stationary ON probability.
+	// Irrelevant when the fleet is uniform.
 	Rounding RoundingPolicy
 	// ExactHetero replaces the §IV-E rounding with the exact
 	// Poisson-binomial block computation (queuing.MapCalHetero): admission
@@ -139,16 +101,16 @@ func (s QueuingFFD) Place(vms []cloud.VM, pms []cloud.PM) (*Result, error) {
 	return firstFitIndexed(ordered, pms, admit, s.fitSpec(func() *queuing.MappingTable { return table }), s.Tracer, s.Name())
 }
 
-// fitSpec returns the index scoring for Eq. (17) admission. Under the paper's
-// max-R_e sizing the score is the exact headroom left for a VM whose R_e does
-// not exceed the hosted maximum,
+// fitSpec returns the index scoring for Eq. (17) admission. The score is the
+// exact headroom left for a VM whose R_e does not exceed the hosted maximum,
 //
 //	C_j − Σ R_b − max R_e(T_j) · mapping(|T_j|+1),
 //
 // an upper bound in general because the true reservation uses
-// max(R_e^i, max R_e(T_j)) ≥ max R_e(T_j). The top-K and exact-hetero
-// variants fall back to the looser C_j − Σ R_b (their reservation is
-// non-negative), trading extra verification probes for soundness.
+// max(R_e^i, max R_e(T_j)) ≥ max R_e(T_j). Under ExactHetero the block count
+// depends on the candidate's own switch probabilities, so the score falls
+// back to the looser C_j − Σ R_b (the reservation is non-negative), trading
+// extra verification probes for soundness.
 //
 // The table is supplied through a getter so Online can keep one index across
 // RefreshTable calls: the closure reads the current table at score time.
@@ -161,7 +123,7 @@ func (s QueuingFFD) fitSpec(table func() *queuing.MappingTable) fitSpec {
 				return fitindex.NegInf
 			}
 			free := pm.Capacity - p.SumRb(pm.ID)
-			if s.Sizing == BlockMaxRe && !s.ExactHetero {
+			if !s.ExactHetero {
 				free -= p.MaxRe(pm.ID) * float64(table().Blocks(k+1))
 			}
 			return free
@@ -194,35 +156,20 @@ func (s QueuingFFD) order(vms []cloud.VM) ([]cloud.VM, error) {
 // vms[perm[j]] — computed in sorter's reused buffers, valid until its next
 // use. The batched admission service orders each commit's arrivals with it.
 func (s QueuingFFD) OrderPerm(sorter *cluster.Sorter, vms []cloud.VM) ([]int, error) {
-	switch s.Method {
-	case ClusterNone:
-		return sorter.Unclustered(vms), nil
-	case ClusterKMeans:
-		return sorter.KMeans(vms, s.numClusters(len(vms)))
-	case ClusterQuantiles:
-		return sorter.Quantiles(vms, s.numClusters(len(vms)))
-	case ClusterRangeBuckets:
-		return sorter.RangeBuckets(vms, s.numClusters(len(vms)))
-	default:
-		return nil, fmt.Errorf("core: unknown cluster method %d", s.Method)
-	}
+	return sorter.RangeBuckets(vms, numClusters(len(vms)))
 }
 
-func (s QueuingFFD) numClusters(n int) int {
-	if s.NumClusters > 0 {
-		return s.NumClusters
-	}
-	if n < 8 {
-		return 1
-	}
-	return n / 8
+// numClusters is the R_e cluster count for n VMs, max(1, n/8), mirroring the
+// paper's "similar R_e" granularity.
+func numClusters(n int) int {
+	return max(1, n/8)
 }
 
 // admit evaluates Eq. (17) for vm joining pmID:
 //
 //	max{R_e^i, max R_e of T_j} · mapping(|T_j|+1) + R_b^i + Σ_{s∈T_j} R_b^s ≤ C_j
 //
-// (or the top-K variant under BlockTopKRe), plus the d cap.
+// plus the d cap.
 func (s QueuingFFD) admit(p *cloud.Placement, vm cloud.VM, pmID int, table *queuing.MappingTable) bool {
 	tr := telemetry.OrNop(s.Tracer)
 	k := p.CountOn(pmID)
@@ -242,18 +189,11 @@ func (s QueuingFFD) admit(p *cloud.Placement, vm cloud.VM, pmID int, table *queu
 	} else {
 		blocks = table.Blocks(k + 1)
 	}
-	var reservation float64
-	switch s.Sizing {
-	case BlockTopKRe:
-		reservation = sumTopRe(p, vm, pmID, blocks)
-	default: // BlockMaxRe, the paper's rule
-		blockSize := vm.Re
-		if hosted := p.MaxRe(pmID); hosted > blockSize {
-			blockSize = hosted
-		}
-		reservation = blockSize * float64(blocks)
+	blockSize := vm.Re
+	if hosted := p.MaxRe(pmID); hosted > blockSize {
+		blockSize = hosted
 	}
-	lhs := p.SumRb(pmID) + vm.Rb + reservation
+	lhs := p.SumRb(pmID) + vm.Rb + blockSize*float64(blocks)
 	admitted := lhs <= pm.Capacity+capEps
 	if tr.Enabled() {
 		reason := telemetry.ReasonFits
@@ -319,24 +259,6 @@ func HeteroViolations(p *cloud.Placement, rho float64) ([]cloud.Violation, error
 		}
 	}
 	return out, nil
-}
-
-// sumTopRe returns the sum of the `blocks` largest R_e among the PM's hosted
-// VMs plus the candidate.
-func sumTopRe(p *cloud.Placement, vm cloud.VM, pmID int, blocks int) float64 {
-	res := []float64{vm.Re}
-	for _, hosted := range p.VMsOn(pmID) {
-		res = append(res, hosted.Re)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(res)))
-	if blocks > len(res) {
-		blocks = len(res)
-	}
-	sum := 0.0
-	for _, re := range res[:blocks] {
-		sum += re
-	}
-	return sum
 }
 
 // BuildRecord renders a placement produced by this strategy as the audit

@@ -28,9 +28,6 @@ func TestQueuingFFDValidation(t *testing.T) {
 	if _, err := paperQueue().Place(nil, pms); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := (QueuingFFD{Rho: 0.01, MaxVMsPerPM: 4, Method: ClusterMethod(99)}).Place(vms, pms); err == nil {
-		t.Error("unknown cluster method accepted")
-	}
 }
 
 func TestQueuingFFDRespectsEq17(t *testing.T) {
@@ -158,64 +155,19 @@ func TestQueuingFFDLaxRhoApproachesRB(t *testing.T) {
 	}
 }
 
-func TestQueuingFFDClusterMethodsAllValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vms, pms := randomFleet(rng, 80)
-	for _, method := range []ClusterMethod{ClusterRangeBuckets, ClusterKMeans, ClusterNone, ClusterQuantiles} {
-		s := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Method: method}
-		res, err := s.Place(vms, pms)
-		if err != nil {
-			t.Fatalf("method %d: %v", method, err)
-		}
-		if len(res.Unplaced) != 0 {
-			t.Errorf("method %d: %d unplaced", method, len(res.Unplaced))
-		}
-		table, _ := s.Table(vms)
-		if v := cloud.CheckReserved(res.Placement, table); v != nil {
-			t.Errorf("method %d: Eq. (17) violated: %v", method, v)
-		}
-	}
-}
-
-func TestQueuingFFDTopKSizingTighter(t *testing.T) {
-	// Top-K block sizing reserves ≤ max-Re sizing, so it never uses more PMs.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 8; trial++ {
-		vms, pms := randomFleet(rng, 100)
-		maxRe, err := (QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Sizing: BlockMaxRe}).Place(vms, pms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topK, err := (QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, Sizing: BlockTopKRe}).Place(vms, pms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if topK.UsedPMs() > maxRe.UsedPMs() {
-			t.Errorf("trial %d: top-K sizing used %d PMs > max-Re %d", trial, topK.UsedPMs(), maxRe.UsedPMs())
-		}
-	}
-}
-
 func TestQueuingFFDNumClustersOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	vms, pms := randomFleet(rng, 40)
-	s := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, NumClusters: 3}
-	if _, err := s.Place(vms, pms); err != nil {
-		t.Fatal(err)
-	}
-	small := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16}
-	if got := small.numClusters(5); got != 1 {
+	// The cluster count is a function of the fleet size alone.
+	if got := numClusters(5); got != 1 {
 		t.Errorf("numClusters(5) = %d, want 1", got)
 	}
-	if got := small.numClusters(80); got != 10 {
+	if got := numClusters(80); got != 10 {
 		t.Errorf("numClusters(80) = %d, want 10", got)
 	}
 }
 
 // referenceOrder is Algorithm 2 lines 7–9 written the straightforward way —
 // equal-width R_e buckets grown by append, stable reflective sorts — against
-// which the allocation-free cluster.ByRangeBuckets / SortForPlacement pair
-// behind QueuingFFD.Order is pinned.
+// which the allocation-free cluster.Sorter behind QueuingFFD.Order is pinned.
 func referenceOrder(vms []cloud.VM, numBuckets int) []cloud.VM {
 	minRe, maxRe := vms[0].Re, vms[0].Re
 	for _, v := range vms {
@@ -275,8 +227,9 @@ func referenceOrder(vms []cloud.VM, numBuckets int) []cloud.VM {
 // TestOrderMatchesReference: the no-growth, non-stable-sort Order returns
 // exactly the reference sequence, on random fleets, on fleets of few distinct
 // R_e / R_b values (long runs of ties, so only the id tie-break orders them),
-// on all-equal R_e (the single-cluster shortcut), on one forced bucket and on
-// shuffled, non-contiguous ids — and leaves its input untouched.
+// on all-equal R_e (the single-cluster shortcut) and on shuffled,
+// non-contiguous ids — and leaves its input untouched. It runs at the default
+// cluster count; TestSorterMatchesOracle covers 1, 3 and more than n.
 func TestOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	levels := []float64{2, 5, 5.5, 11, 20}
@@ -306,21 +259,17 @@ func TestOrderMatchesReference(t *testing.T) {
 	}
 	for name, gen := range fleets {
 		for _, n := range []int{1, 2, 7, 8, 9, 64, 500} {
-			for _, numClusters := range []int{0, 1, 3, n + 5} {
-				vms := gen(n)
-				input := append([]cloud.VM(nil), vms...)
-				s := QueuingFFD{Rho: 0.01, MaxVMsPerPM: 16, NumClusters: numClusters}
-				got, err := s.Order(vms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := referenceOrder(input, s.numClusters(n))
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s n=%d clusters=%d: Order diverges from the reference\n got %v\nwant %v", name, n, numClusters, got, want)
-				}
-				if !slices.Equal(vms, input) {
-					t.Fatalf("%s n=%d clusters=%d: Order mutated its input", name, n, numClusters)
-				}
+			vms := gen(n)
+			input := append([]cloud.VM(nil), vms...)
+			got, err := paperQueue().Order(vms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceOrder(input, numClusters(n)); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: Order diverges from the reference\n got %v\nwant %v", name, n, got, want)
+			}
+			if !slices.Equal(vms, input) {
+				t.Fatalf("%s n=%d: Order mutated its input", name, n)
 			}
 		}
 	}
@@ -514,6 +463,55 @@ func TestHeteroViolationsDetectsOverpack(t *testing.T) {
 	}
 	if violations[0].PMID != 0 || violations[0].Footprint <= violations[0].Capacity {
 		t.Errorf("violation accounting wrong: %+v", violations[0])
+	}
+}
+
+// The audit reserves exactly MapCalHetero's K blocks of max R_e: a PM whose
+// capacity sits half a block short of that is flagged, and the same PM at
+// ΣR_b + max R_e·K passes — so K − 1 or K + 1 blocks would each misjudge one.
+func TestHeteroViolationsAtTheBoundary(t *testing.T) {
+	hosted := []cloud.VM{
+		{ID: 1, POn: 0.05, POff: 0.2, Rb: 10, Re: 6},
+		{ID: 2, POn: 0.2, POff: 0.3, Rb: 7, Re: 8},
+		{ID: 3, POn: 0.01, POff: 0.09, Rb: 12, Re: 5},
+		{ID: 4, POn: 0.1, POff: 0.1, Rb: 5, Re: 7},
+		{ID: 5, POn: 0.3, POff: 0.6, Rb: 9, Re: 4},
+	}
+	pOns, pOffs := make([]float64, len(hosted)), make([]float64, len(hosted))
+	sumRb := 0.0
+	for i, v := range hosted {
+		pOns[i], pOffs[i] = v.POn, v.POff
+		sumRb += v.Rb
+	}
+	exact, err := queuing.MapCalHetero(pOns, pOffs, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.K < 1 {
+		t.Fatalf("K = %d: the host set needs a block for the boundary to mean anything", exact.K)
+	}
+	audit := func(capacity float64) []cloud.Violation {
+		p, err := cloud.NewPlacement([]cloud.PM{{ID: 0, Capacity: capacity}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range hosted {
+			if err := p.Assign(v, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		violations, err := HeteroViolations(p, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return violations
+	}
+	const maxRe = 8
+	if v := audit(sumRb + maxRe*(float64(exact.K)-0.5)); len(v) != 1 {
+		t.Errorf("capacity half a block short of K = %d blocks: violations %v, want one", exact.K, v)
+	}
+	if v := audit(sumRb + maxRe*float64(exact.K)); v != nil {
+		t.Errorf("capacity of exactly K = %d blocks flagged: %v", exact.K, v)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cloud"
 )
@@ -11,17 +10,24 @@ import (
 // RoundingPolicy selects how heterogeneous per-VM switch probabilities are
 // rounded to the uniform (p_on, p_off) MapCal requires (§IV-E: "if p_on and
 // p_off varies among VMs, we need to round them to uniform values").
+//
+// The mapping table depends on the pair only through the stationary ON
+// probability q = p_on/(p_on+p_off), since the occupancy is Binomial(k, q);
+// λ = 1 − p_on − p_off shapes only the dynamics. So a policy must round q.
 type RoundingPolicy int
 
 const (
-	// RoundMean uses the fleet averages — the balanced default.
+	// RoundMean keeps the fleet's mean q and mean λ — the balanced default.
+	// By Hoeffding's (1956) Poisson-binomial inequality the Binomial(k, q̄)
+	// tail bounds the exact heterogeneous tail above the mean, so whenever
+	// K sits above kq̄ (any small ρ) the blocks it reserves meet ρ for the
+	// whole fleet. Averaging p_on and p_off separately does not: a mixed
+	// fleet can end over ρ.
 	RoundMean RoundingPolicy = iota
 	// RoundConservative maximises the stationary ON probability: the
 	// largest p_on paired with the smallest p_off, so the reservation never
 	// under-provisions any VM.
 	RoundConservative
-	// RoundMedian uses the fleet medians, robust to outlier VMs.
-	RoundMedian
 )
 
 // RoundSwitchProbabilities derives the uniform (p_on, p_off) for a fleet.
@@ -42,13 +48,18 @@ func RoundSwitchProbabilities(vms []cloud.VM, policy RoundingPolicy) (pOn, pOff 
 	}
 	switch policy {
 	case RoundMean:
-		var sumOn, sumOff float64
+		var sumQ, sumRate float64
 		for _, v := range vms {
-			sumOn += v.POn
-			sumOff += v.POff
+			sumQ += v.POn / (v.POn + v.POff)
+			sumRate += v.POn + v.POff
 		}
 		n := float64(len(vms))
-		return sumOn / n, sumOff / n, nil
+		// p_on = q̄(1 − λ̄), p_off = (1 − q̄)(1 − λ̄), with 1 − λ̄ the mean
+		// p_on + p_off, capped so that neither exceeds 1 (a fleet of
+		// near-periodic chains can average past it); q̄ stays exact.
+		q := sumQ / n
+		rate := min(sumRate/n, 1/max(q, 1-q))
+		return q * rate, (1 - q) * rate, nil
 	case RoundConservative:
 		maxOn, minOff := 0.0, math.Inf(1)
 		for _, v := range vms {
@@ -56,23 +67,7 @@ func RoundSwitchProbabilities(vms []cloud.VM, policy RoundingPolicy) (pOn, pOff 
 			minOff = math.Min(minOff, v.POff)
 		}
 		return maxOn, minOff, nil
-	case RoundMedian:
-		return median(vms, func(v cloud.VM) float64 { return v.POn }),
-			median(vms, func(v cloud.VM) float64 { return v.POff }), nil
 	default:
 		return 0, 0, fmt.Errorf("core: unknown rounding policy %d", policy)
 	}
-}
-
-func median(vms []cloud.VM, key func(cloud.VM) float64) float64 {
-	vals := make([]float64, len(vms))
-	for i, v := range vms {
-		vals[i] = key(v)
-	}
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
 }

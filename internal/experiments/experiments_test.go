@@ -215,7 +215,7 @@ func TestAblate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Ablation", "k-means", "top-K", "SBP", "RP", "RB"} {
+	for _, want := range []string{"Ablation", "exact hetero", "SBP", "CONV", "RP", "RB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablate output missing %q", want)
 		}

@@ -13,10 +13,10 @@ import (
 )
 
 // runAblate compares the design choices DESIGN.md calls out, beyond what the
-// paper evaluates: clustering variants, block sizing, probability rounding,
-// and the stochastic-bin-packing comparator from the related work. For each
-// variant it reports the packing result and the simulated runtime CVR, so
-// the table shows what each choice buys and what it risks.
+// paper evaluates: exact heterogeneous admission, the exact-tail convolution
+// packer, and the stochastic-bin-packing comparator from the related work.
+// For each variant it reports the packing result and the simulated runtime
+// CVR, so the table shows what each choice buys and what it risks.
 func runAblate(opt Options) error {
 	n := opt.VMCounts[len(opt.VMCounts)-1]
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -34,10 +34,6 @@ func runAblate(opt Options) error {
 		s    core.Strategy
 	}{
 		{"QUEUE (paper: range buckets, max-Re blocks)", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D}},
-		{"QUEUE + k-means clustering", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D, Method: core.ClusterKMeans}},
-		{"QUEUE + quantile clustering", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D, Method: core.ClusterQuantiles}},
-		{"QUEUE, no clustering", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D, Method: core.ClusterNone}},
-		{"QUEUE + top-K block sizing", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D, Sizing: core.BlockTopKRe}},
 		{"QUEUE + exact hetero admission", core.QueuingFFD{Rho: opt.Rho, MaxVMsPerPM: opt.D, ExactHetero: true}},
 		{"SBP (effective sizing, ε=ρ)", core.EffectiveSizing{Epsilon: opt.Rho}},
 		{"CONV (exact-tail packing, ρ)", core.ConvolutionFF{Rho: opt.Rho, MaxVMsPerPM: opt.D}},
@@ -73,10 +69,10 @@ func runAblate(opt Options) error {
 		return err
 	}
 	_, err = fmt.Fprintln(opt.Out,
-		"\nReading: top-K sizing trades a little safety margin for fewer PMs; SBP bounds\n"+
-			"the instantaneous overflow like QUEUE but, lacking the temporal model, cannot\n"+
-			"size reservations for spike duration — its CVR sits near ε only because the\n"+
-			"stationary marginals coincide; under migration dynamics it behaves like RB-EX.")
+		"\nReading: SBP bounds the instantaneous overflow like QUEUE but, lacking the\n"+
+			"temporal model, cannot size reservations for spike duration — its CVR sits\n"+
+			"near ε only because the stationary marginals coincide; under migration\n"+
+			"dynamics it behaves like RB-EX.")
 	return err
 }
 
@@ -112,7 +108,7 @@ func runEnergy(opt Options) error {
 }
 
 func init() {
-	register(Experiment{"ablate", "extension: design-choice ablations (clustering, block sizing, SBP)", runAblate})
+	register(Experiment{"ablate", "extension: design-choice ablations (exact hetero admission, CONV, SBP)", runAblate})
 	register(Experiment{"energy", "extension: energy accounting of Fig. 9 runs (linear power model)", runEnergy})
 	register(Experiment{"churn", "extension: open-system run with tenant arrivals and departures", runChurn})
 	register(Experiment{"recon", "extension: periodic reconsolidation control loop vs reactive-only", runRecon})

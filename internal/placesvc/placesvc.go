@@ -126,11 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Strategy.MaxVMsPerPM < 1 {
 		return c, fmt.Errorf("placesvc: strategy needs MaxVMsPerPM ≥ 1, got %d", c.Strategy.MaxVMsPerPM)
 	}
-	switch c.Strategy.Method {
-	case core.ClusterRangeBuckets, core.ClusterKMeans, core.ClusterNone, core.ClusterQuantiles:
-	default:
-		return c, fmt.Errorf("placesvc: unknown cluster method %d", c.Strategy.Method)
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
 	}

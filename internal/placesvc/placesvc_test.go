@@ -58,11 +58,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Strategy: paperStrategy(), PMs: mkPool(1, 100), POn: 0.01, POff: 0.09, MaxWait: -time.Second}); err == nil {
 		t.Error("negative MaxWait accepted")
 	}
-	bad := paperStrategy()
-	bad.Method = core.ClusterMethod(99)
-	if _, err := New(Config{Strategy: bad, PMs: mkPool(1, 100), POn: 0.01, POff: 0.09}); err == nil {
-		t.Error("unknown cluster method accepted")
-	}
 }
 
 // The MaxBatch = 1 ≡ sequential-Online equivalence contract: a fixed request

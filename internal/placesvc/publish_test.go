@@ -260,25 +260,21 @@ func TestOrderMatchesMapRelink(t *testing.T) {
 	}
 	cases["random ids"], cases["twelve ids, 300 arrivals"] = random, repeats
 
-	for _, method := range []core.ClusterMethod{core.ClusterRangeBuckets, core.ClusterNone} {
-		strategy := paperStrategy()
-		strategy.Method = method
-		svc := newServiceT(t, Config{Strategy: strategy})
-		for _, name := range []string{"random ids", "twelve ids, 300 arrivals", "no arrival", "one arrival",
-			"two, same id", "all-equal specs", "one id throughout", "random ids"} {
-			arrs := make([]arrival, len(cases[name]))
-			for i, vm := range cases[name] {
-				arrs[i] = arrival{vm: vm, req: &request{}} // a request of its own: pointer identity names the position
-			}
-			got, want := svc.order(arrs), refOrder(strategy, arrs)
-			if len(got) != len(want) {
-				t.Fatalf("method %d, %s: ordered %d arrivals, reference %d", method, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("method %d, %s: position %d is VM %d of request %p, reference VM %d of %p",
-						method, name, i, got[i].vm.ID, got[i].req, want[i].vm.ID, want[i].req)
-				}
+	svc := newServiceT(t, Config{Strategy: paperStrategy()})
+	for _, name := range []string{"random ids", "twelve ids, 300 arrivals", "no arrival", "one arrival",
+		"two, same id", "all-equal specs", "one id throughout", "random ids"} {
+		arrs := make([]arrival, len(cases[name]))
+		for i, vm := range cases[name] {
+			arrs[i] = arrival{vm: vm, req: &request{}} // a request of its own: pointer identity names the position
+		}
+		got, want := svc.order(arrs), refOrder(paperStrategy(), arrs)
+		if len(got) != len(want) {
+			t.Fatalf("%s: ordered %d arrivals, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: position %d is VM %d of request %p, reference VM %d of %p",
+					name, i, got[i].vm.ID, got[i].req, want[i].vm.ID, want[i].req)
 			}
 		}
 	}

@@ -287,8 +287,51 @@ func TestReservationAwarePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The aware policy may use more PMs but should not cycle as violently.
-	t.Logf("reservation-aware: %d migrations, %d final PMs", rep.TotalMigrations, rep.FinalPMs)
+	// RB packs by R_b alone, so spikes overflow its PMs and force moves.
+	if rep.Intervals != 80 || rep.TotalMigrations == 0 {
+		t.Errorf("reservation-aware run: %d intervals, %d migrations; want 80 and some",
+			rep.Intervals, rep.TotalMigrations)
+	}
+}
+
+// Under TargetReservationAware a migration target must pass Eq. (17) with the
+// incoming VM counted: mapping(k+1) blocks for k hosted VMs plus the new one.
+// PM 0 is half a block short of that (mapping(k) blocks would still fit) and
+// must refuse; PM 1 fits it exactly and must admit.
+func TestTargetAdmitsCountsTheIncomingVM(t *testing.T) {
+	table, err := queuing.NewMappingTable(16, 0.01, 0.09, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 1
+	for table.Blocks(k+1) == table.Blocks(k) {
+		k++
+	}
+	const rb, re = 10.0, 4.0
+	incoming := cloud.VM{ID: 1000, POn: 0.01, POff: 0.09, Rb: rb, Re: re}
+	fits := float64(k+1)*rb + re*float64(table.Blocks(k+1))
+	placement, err := cloud.NewPlacement([]cloud.PM{{ID: 0, Capacity: fits - re/2}, {ID: 1, Capacity: fits}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pm := range 2 {
+		for i := range k {
+			if err := placement.Assign(cloud.VM{ID: 10*pm + i, POn: 0.01, POff: 0.09, Rb: rb, Re: re}, pm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := New(placement, table, Config{Intervals: 1, Rho: 0.01, Policy: TargetReservationAware},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.targetAdmits(0, 0, incoming, rb) {
+		t.Errorf("k=%d: PM short of mapping(k+1)=%d blocks admitted the VM", k, table.Blocks(k+1))
+	}
+	if !s.targetAdmits(1, 0, incoming, rb) {
+		t.Errorf("k=%d: PM fitting mapping(k+1)=%d blocks exactly refused the VM", k, table.Blocks(k+1))
+	}
 }
 
 func TestEventsAreOrdered(t *testing.T) {
